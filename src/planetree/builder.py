@@ -32,7 +32,7 @@ from .rotation import (
     full_rotation,
     line_crosses_triangle,
 )
-from .triangles import disconnected_empty_triangles
+from .triangles import Triple, disconnected_empty_triangles
 
 CASE1 = "case1"
 CASE2_1 = "case2.1"
@@ -83,27 +83,33 @@ class BuildReport:
         )
 
 
-def find_valid_split(g: GeometricGraph) -> SplitLine | None:
+def find_valid_split(
+    g: GeometricGraph, witnesses: tuple[Triple, ...] | None = None
+) -> SplitLine | None:
     """First sweep state whose closed sides both satisfy the size condition.
 
     Scans intermediate and event lines in sweep order, so the result is
     deterministic for a fixed input.  Returns None when no state
     qualifies, which the theorem rules out whenever g itself satisfies
-    the size condition.
+    the size condition.  `witnesses` are g's disconnected empty
+    triangles, counted here when not given.  Each side is a closed
+    half-plane of g, so its count is the number of witnesses it contains.
     """
     if g.n < 5:
         raise ValueError("splitting needs at least 5 points")
+    if witnesses is None:
+        witnesses = disconnected_empty_triangles(g).witnesses
     seq = full_rotation(g.ps)
     for line, part in seq.states():
         left = part.left
         right = part.right
         if len(left) < 3 or len(right) < 3:
             continue
-        if _side_count(g, left) > len(left) - 3:
+        if _side_count(witnesses, left) > len(left) - 3:
             continue
-        if _side_count(g, right) > len(right) - 3:
+        if _side_count(witnesses, right) > len(right) - 3:
             continue
-        tag = _classify(g, seq, line)
+        tag = _classify(g, seq, line, witnesses)
         return SplitLine(
             graph=g,
             line=line,
@@ -115,16 +121,21 @@ def find_valid_split(g: GeometricGraph) -> SplitLine | None:
     return None
 
 
-def _side_count(g: GeometricGraph, side: frozenset[int]) -> int:
-    return disconnected_empty_triangles(induced_subgraph(g, side)).count
+def _side_count(witnesses: tuple[Triple, ...], side: frozenset[int]) -> int:
+    return sum(u in side and v in side and w in side for u, v, w in witnesses)
 
 
-def _classify(g: GeometricGraph, seq: RotationSequence, winner: OrientedLine) -> str:
+def _classify(
+    g: GeometricGraph,
+    seq: RotationSequence,
+    winner: OrientedLine,
+    witnesses: tuple[Triple, ...],
+) -> str:
     """Diagnostic tag: which configuration of the start line led here."""
     start = seq.intermediates[0]
     part0 = seq.intermediate_partitions[0]
-    low_left = _side_count(g, part0.left) <= len(part0.left) - 3
-    low_right = _side_count(g, part0.right) <= len(part0.right) - 3
+    low_left = _side_count(witnesses, part0.left) <= len(part0.left) - 3
+    low_right = _side_count(witnesses, part0.right) <= len(part0.right) - 3
     if winner is start:
         return CASE1
     if low_left and not low_right:
@@ -133,7 +144,7 @@ def _classify(g: GeometricGraph, seq: RotationSequence, winner: OrientedLine) ->
         return CASE3
     # Both sides of the start line are overloaded: the qualifying state
     # should be the shifted event line located by the crossing walk.
-    walk = case2_walk(g, seq)
+    walk = case2_walk(g, seq, witnesses)
     if walk is not None:
         subcase, event_idx, _ = walk
         if winner.kind == EVENT and seq.events[event_idx] is winner:
@@ -142,7 +153,9 @@ def _classify(g: GeometricGraph, seq: RotationSequence, winner: OrientedLine) ->
 
 
 def case2_walk(
-    g: GeometricGraph, seq: RotationSequence
+    g: GeometricGraph,
+    seq: RotationSequence,
+    witnesses: tuple[Triple, ...] | None = None,
 ) -> tuple[str, int, int] | None:
     """Locate the shifted event line used when both start sides overload.
 
@@ -151,16 +164,19 @@ def case2_walk(
     finds the first intermediate state that strictly separates some
     disconnected empty triangle of g, then advances until the sweep
     axis returns to the heavy side; the event reached at that moment is
-    the candidate split.
+    the candidate split.  `witnesses` are g's disconnected empty
+    triangles, counted here when not given.
     """
-    disc = disconnected_empty_triangles(g).witnesses
-    if not disc:
+    if witnesses is None:
+        witnesses = disconnected_empty_triangles(g).witnesses
+    if not witnesses:
         return None
     parts = seq.intermediate_partitions
     count = len(seq.intermediates)
     first_cross = None
     for idx in range(count):
-        if any(line_crosses_triangle(seq.intermediates[idx], t, seq.ps) for t in disc):
+        line = seq.intermediates[idx]
+        if any(line_crosses_triangle(line, t, seq.ps) for t in witnesses):
             first_cross = idx
             break
     if first_cross is None or first_cross == 0:
@@ -241,27 +257,35 @@ def build_plane_tree(
     if g.n < 3:
         raise ValueError("need at least 3 points")
     report = BuildReport(tree=None)
-    if disconnected_empty_triangles(g).count > g.n - 3:
+    witnesses = disconnected_empty_triangles(g).witnesses
+    if len(witnesses) > g.n - 3:
         report.precondition_violated = True
-    edges = _build(g, report, 1, oracle_budget)
+    edges = _build(g, witnesses, report, 1, oracle_budget)
     if edges is not None:
         certified = certify_plane_spanning_tree(g, edges)
-        assert isinstance(certified, PlaneTree), f"unsound build: {certified}"
+        if not isinstance(certified, PlaneTree):
+            raise AssertionError(f"unsound build: {certified}")
         report.tree = certified
     return report
 
 
 def _build(
-    g: GeometricGraph, report: BuildReport, depth: int, budget: int
+    g: GeometricGraph,
+    witnesses: tuple[Triple, ...],
+    report: BuildReport,
+    depth: int,
+    budget: int,
 ) -> frozenset[Edge] | None:
+    """Edges of a plane spanning tree of g, or None; witnesses are g's
+    disconnected empty triangles."""
     report.max_depth = max(report.max_depth, depth)
     if g.n <= 4:
         report.trace.append((g.n, BASE))
         return _oracle_edges(g, budget)
 
-    split = find_valid_split(g)
+    split = find_valid_split(g, witnesses)
     if split is None:
-        if disconnected_empty_triangles(g).count <= g.n - 3:
+        if len(witnesses) <= g.n - 3:
             report.theorem_gap_fallback_used = True
         report.trace.append((g.n, FALLBACK))
         return _oracle_edges(g, budget)
@@ -269,8 +293,11 @@ def _build(
     report.trace.append((g.n, split.case_tag))
     g_left = induced_subgraph(g, split.left_indices)
     g_right = induced_subgraph(g, split.right_indices)
-    left_edges = _build(g_left, report, depth + 1, budget)
-    right_edges = _build(g_right, report, depth + 1, budget)
+    # Each side is a closed half-plane of g, so it inherits g's witnesses.
+    w_left = disconnected_empty_triangles(g_left, inherited=witnesses).witnesses
+    w_right = disconnected_empty_triangles(g_right, inherited=witnesses).witnesses
+    left_edges = _build(g_left, w_left, report, depth + 1, budget)
+    right_edges = _build(g_right, w_right, report, depth + 1, budget)
     if left_edges is None or right_edges is None:
         # The sides were chosen to satisfy the size condition, so this
         # cannot happen unless something upstream is broken.
@@ -278,7 +305,9 @@ def _build(
         return _oracle_edges(g, budget)
     t_left = certify_plane_spanning_tree(g_left, left_edges)
     t_right = certify_plane_spanning_tree(g_right, right_edges)
-    assert isinstance(t_left, PlaneTree) and isinstance(t_right, PlaneTree)
+    for verdict in (t_left, t_right):
+        if not isinstance(verdict, PlaneTree):
+            raise AssertionError(f"side tree failed certification: {verdict}")
     return frozenset(merge_side_trees(t_left, t_right, split).tree_edges)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -179,14 +180,14 @@ def random_instance(
         for e in ((u, v), (v, w), (u, w)):
             by_edge.setdefault(e, []).append(tri)
 
-    edges = set(g.edges)
+    edges = sorted(g.edges)  # rng draws by position, so removals keep it sorted
     disconnected = 0
     budget = n - 3
     attempts = removal_attempts if removal_attempts is not None else 3 * len(edges)
     for _ in range(attempts):
         if not edges:
             break
-        e = rng.choice(sorted(edges))
+        e = rng.choice(edges)
         delta = 0
         for tri in by_edge.get(e, ()):
             induced[tri] -= 1
@@ -197,7 +198,7 @@ def random_instance(
                 induced[tri] += 1
             continue
         disconnected += delta
-        edges.remove(e)
+        del edges[bisect_left(edges, e)]
 
     result = GeometricGraph(ps, frozenset(edges))
     check = disconnected_empty_triangles(result).count

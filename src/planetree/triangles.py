@@ -5,6 +5,12 @@ strictly inside it.  Relative to a graph, an empty triangle is
 "disconnected" when its three vertices induce at most one edge.
 Emptiness inside an induced subgraph is always judged against the
 subgraph's own points, not the parent's.
+
+The disconnected count tests emptiness only for triples that induce at
+most one edge.  On a half-plane subset it can instead filter the
+parent's witnesses, which needs no emptiness test at all.  The O(n^4)
+scan of every triple stays as the reference enumeration.  Both scans
+are cached per point set (and edge set), so a repeated build is warm.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .geometry import INTERIOR, PointSet, point_in_triangle
-from .graphs import GeometricGraph, canonical_edge
+from .graphs import Edge, GeometricGraph
 
 Triple = tuple[int, int, int]
 
@@ -31,18 +37,23 @@ def enumerate_empty_triangles(ps: PointSet) -> list[Triple]:
 
 
 @lru_cache(maxsize=4096)
-def _empty_triples(ps: PointSet) -> tuple[Triple, ...]:
+def _empty_triples(
+    ps: PointSet, edges: frozenset[Edge] | None = None
+) -> tuple[Triple, ...]:
+    """Sorted empty triples of ps; with `edges`, only those inducing <= 1."""
     n = len(ps)
-    out: list[Triple] = []
-    for i, j, k in combinations(range(n), 3):
-        a, b, c = ps[i], ps[j], ps[k]
-        if all(
-            point_in_triangle(ps[t], a, b, c) != INTERIOR
-            for t in range(n)
-            if t not in (i, j, k)
-        ):
-            out.append((i, j, k))
-    return tuple(out)
+    triples = combinations(range(n), 3) if edges is None else _candidates(n, edges)
+    return tuple(t for t in triples if _is_empty(ps, t))
+
+
+def _is_empty(ps: PointSet, triple: Triple) -> bool:
+    i, j, k = triple
+    a, b, c = ps[i], ps[j], ps[k]
+    return all(
+        point_in_triangle(ps[t], a, b, c) != INTERIOR
+        for t in range(len(ps))
+        if t not in triple
+    )
 
 
 @dataclass(frozen=True)
@@ -53,18 +64,49 @@ class DisconnectedTriangles:
     witnesses: tuple[Triple, ...]
 
 
-def disconnected_empty_triangles(g: GeometricGraph) -> DisconnectedTriangles:
-    """Empty triangles of g's point set whose vertices induce <= 1 edge of g."""
-    witnesses = []
-    for u, v, w in _empty_triples(g.ps):
-        induced = (
-            (canonical_edge(u, v) in g.edges)
-            + (canonical_edge(v, w) in g.edges)
-            + (canonical_edge(u, w) in g.edges)
+def disconnected_empty_triangles(
+    g: GeometricGraph, inherited: Iterable[Triple] | None = None
+) -> DisconnectedTriangles:
+    """Empty triangles of g's point set whose vertices induce <= 1 edge of g.
+
+    Witnesses are sorted lexicographically.  Without `inherited` only the
+    triples that induce at most one edge are tested for emptiness: two
+    of their three pairs are non-edges, and those share a vertex.
+
+    With `inherited`, the parent's witnesses, g must be an induced
+    subgraph of that parent on a closed half-plane of its points (a sweep
+    side).  Then a triple is empty in g exactly when it is empty in the
+    parent, so the result is the parent's witnesses inside g, re-indexed.
+    On any other subset the result may be wrong.
+    """
+    if inherited is None:
+        witnesses = _empty_triples(g.ps, g.edges)
+    elif g.parent_map is None:
+        raise ValueError("inherited witnesses need an induced subgraph")
+    else:
+        # parent_map is sorted, so re-indexing keeps the lexicographic order.
+        local = {p: k for k, p in enumerate(g.parent_map)}
+        witnesses = tuple(
+            (local[u], local[v], local[w])
+            for u, v, w in inherited
+            if u in local and v in local and w in local
         )
-        if induced <= 1:
-            witnesses.append((u, v, w))
-    return DisconnectedTriangles(len(witnesses), tuple(witnesses))
+    return DisconnectedTriangles(len(witnesses), witnesses)
+
+
+def _candidates(n: int, edges: frozenset[Edge]) -> list[Triple]:
+    """Sorted triples of n points with two non-edges at a shared vertex."""
+    non_adjacent: list[list[int]] = [[] for _ in range(n)]
+    for i, j in combinations(range(n), 2):
+        if (i, j) not in edges:
+            non_adjacent[i].append(j)
+            non_adjacent[j].append(i)
+    triples = {
+        tuple(sorted((v, a, b)))
+        for v, others in enumerate(non_adjacent)
+        for a, b in combinations(others, 2)
+    }
+    return sorted(triples)
 
 
 def relative_equals_global_empty(parent: PointSet, subset: Iterable[int]) -> bool:

@@ -1,8 +1,13 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import planetree
 from planetree.builder import (
     BASE,
     CASE1,
@@ -276,3 +281,32 @@ def test_every_returned_tree_is_certified():
         assert report.tree is not None
         verdict = certify_plane_spanning_tree(inst.graph, report.tree.tree_edges)
         assert isinstance(verdict, PlaneTree)
+
+
+SOUNDNESS_UNDER_O = """
+import planetree.builder as builder
+from planetree.generators import convex_position_points
+from planetree.graphs import complete_graph
+
+print(__debug__)
+builder._oracle_edges = lambda g, budget: frozenset()  # never a spanning tree
+for n in (4, 8):
+    try:
+        builder.build_plane_tree(complete_graph(convex_position_points(n)))
+    except AssertionError as err:
+        print(n, err)
+    else:
+        print(n, "returned")
+"""
+
+
+def test_uncertifiable_edges_raise_under_python_O():
+    # n=4 fails the final certification, n=8 a side tree's.
+    env = {**os.environ, "PYTHONPATH": str(Path(planetree.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", SOUNDNESS_UNDER_O],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout.splitlines()
+    assert out[0] == "False"
+    assert out[1] == "4 unsound build: wrong-count"
+    assert out[2] == "8 side tree failed certification: wrong-count"

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from planetree.generators import (
@@ -10,6 +12,7 @@ from planetree.generators import (
 )
 from planetree.geometry import INTERIOR, in_convex_position, in_general_position, orient, point_in_triangle
 from planetree.graphs import is_crossing_free
+from planetree.instance_io import dumps_instance
 from planetree.oracle import ABSENT, has_plane_spanning_tree
 from planetree.triangles import disconnected_empty_triangles
 
@@ -111,3 +114,45 @@ def test_random_point_set_general_position():
     for _ in range(10):
         ps = random_point_set(rng.randint(3, 20), rng)
         assert in_general_position(ps.points)
+
+
+# sha256 of dumps_instance output.  The benchmark's workloads are built by
+# these generators, so a changed digest silently changes the workloads.
+GOLDEN = [
+    pytest.param(
+        lambda: random_instance(12, 7),
+        "e3db59d0ff3f95b6e6e57d7e83c5bfb2db506d1680a2d188916c0f5b6b2698f8",
+        id="budgeted-12-7",
+    ),
+    pytest.param(
+        lambda: random_instance(24, 3),
+        "022aef9635856b88cafeb046571ac505dcf9a080f667f0419def6e65be501cac",
+        id="budgeted-24-3",
+    ),
+    pytest.param(
+        lambda: random_instance(10, 5, mode="complete"),
+        "a7cc0afef5bac7c009f1de560b42349063041d4fb5a190ffbfaf221a7a53d2b3",
+        id="complete-10-5",
+    ),
+    pytest.param(
+        lambda: r_construction(9)[0],
+        "e0a8aad8d52c62697d12930d396779408bc779facac81fffc01a8676c3d98b7c",
+        id="r_construction-9-path",
+    ),
+    pytest.param(
+        lambda: r_construction(9)[1],
+        "65246780b81b03786ace0d652caced7cad107fcc762e7766d0424597760fa395",
+        id="r_construction-9-complement",
+    ),
+    pytest.param(
+        lambda: path_complement(8),
+        "1015bcb16ee985f7ee29f85ae10d2c5c4a8c76381a5afc4cfd50bb21592c92f9",
+        id="path_complement-8",
+    ),
+]
+
+
+@pytest.mark.parametrize("make, digest", GOLDEN)
+def test_generated_instances_are_byte_stable(make, digest):
+    text = dumps_instance(make().graph)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
