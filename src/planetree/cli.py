@@ -206,17 +206,17 @@ def cmd_batch(args) -> int:
         g = instance.graph
         ok = True
         try:
-            full_rotation(g.ps)
-        except AssertionError:
-            ok = False
-        report = build_plane_tree(g)
-        if report.theorem_gap_fallback_used or report.precondition_violated:
-            flagged += 1
-            ok = False
-        if report.tree is None:
+            report = build_plane_tree(g)
+        except AssertionError:  # a failed sweep invariant or certification
             ok = False
         else:
-            built += 1
+            if report.theorem_gap_fallback_used or report.precondition_violated:
+                flagged += 1
+                ok = False
+            if report.tree is None:
+                ok = False
+            else:
+                built += 1
         if n <= 9:
             if has_plane_spanning_tree(g).status != FOUND:
                 ok = False

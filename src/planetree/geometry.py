@@ -12,9 +12,13 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
-# Coordinates up to 2**30 keep 3x3 orientation determinants within 2**62,
-# exact even on fixed-width integer backends.  Python ints never overflow,
-# but the bound keeps instance files portable.
+# Coordinates up to 2**30 keep every orientation determinant (twice a
+# triangle's area in a box of side 2**31) and each of its two products
+# within 2**62 in magnitude; the strip cross products in `triangles` are
+# such determinants too.  All of them fit a signed 64-bit integer.  The
+# sweep's summed directions (`rotation._add`) are wider: their cross
+# products reach about 2**64 and need a wider type.  Python ints never
+# overflow, but the bound keeps instance files portable.
 COORD_LIMIT = 2**30
 
 INTERIOR = "interior"

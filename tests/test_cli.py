@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from planetree import cli
 from planetree.cli import main
 from planetree.instance_io import (
     InstanceFormatError,
@@ -210,6 +211,20 @@ def test_batch_small_campaign(capsys):
     assert "failures" in stdout
     last = stdout.strip().splitlines()[-1]
     assert last.split()[2] == "0"  # zero failures
+
+
+def test_batch_counts_a_failed_invariant_as_a_failure(capsys, monkeypatch):
+    def broken_build(g):
+        raise AssertionError("sweep invariant")
+
+    monkeypatch.setattr(cli, "build_plane_tree", broken_build)
+    code, stdout, _ = run(
+        capsys, "batch", "--trials", "2", "--n-range", "5:5", "--seed", "3"
+    )
+    assert code == 5
+    lines = stdout.strip().splitlines()
+    assert sum("FAILED" in line for line in lines) == 2
+    assert lines[-1].split() == ["2", "0", "2", "0"]
 
 
 def test_batch_zero_trials(capsys):

@@ -1,15 +1,24 @@
-"""Fast disconnected-triangle counts against the O(n^4) reference scan.
+"""Fast empty-triangle tests against the O(n^4) reference scan.
 
-The root count tests emptiness only for triples with at most one edge,
-and a sweep side filters its parent's witnesses instead of testing
-anything.  Both must give exactly the witnesses the reference gives.
+Emptiness is tested in O(1) per triple from per-pair below-segment
+counts, the root count tests only triples with at most one edge, and a
+sweep side filters its parent's witnesses instead of testing anything.
+All must give exactly the triples of the independent area-identity scan
+`brute_empty_triples`, which shares no code with them.
 """
 
 import random
 
 import pytest
+from test_triangles import brute_empty_triples
 
-from planetree.generators import path_complement, r_construction, random_point_set
+from planetree.generators import (
+    convex_position_points,
+    path_complement,
+    r_construction,
+    random_point_set,
+)
+from planetree.geometry import COORD_LIMIT, Point, PointSet, in_general_position
 from planetree.graphs import (
     GeometricGraph,
     complete_graph,
@@ -21,9 +30,7 @@ from planetree.triangles import disconnected_empty_triangles, enumerate_empty_tr
 
 
 def reference_witnesses(g):
-    return tuple(
-        t for t in enumerate_empty_triangles(g.ps) if not triple_connected(g, *t)
-    )
+    return tuple(t for t in brute_empty_triples(g.ps) if not triple_connected(g, *t))
 
 
 def random_graph(n, density, rng):
@@ -75,3 +82,73 @@ def test_inheritance_needs_an_induced_subgraph():
     g = complete_graph(random_point_set(5, random.Random(1)))
     with pytest.raises(ValueError):
         disconnected_empty_triangles(g, inherited=())
+
+
+def _shuffled(points, rng):
+    points = list(points)
+    rng.shuffle(points)
+    return PointSet(tuple(points))
+
+
+def _parabola(n, rng):
+    """n points on y = x^2: convex position, no three collinear."""
+    xs = rng.sample(range(-40, 41), n)
+    return PointSet(tuple(Point(x, x * x) for x in xs))
+
+
+def _differential_point_sets():
+    rng = random.Random(8)
+    for n in range(3, 13):
+        for _ in range(6):
+            yield random_point_set(n, rng)
+        # Small grids: many points share an x or a y coordinate, so the
+        # rank order falls back on y.  A +-3 grid holds few points in
+        # general position, hence the cap.
+        for _ in range(2):
+            yield random_point_set(min(n, 8), rng, box=3)
+            yield random_point_set(n, rng, box=5)
+        yield _shuffled(convex_position_points(n), rng)
+        yield _parabola(n, rng)
+        yield random_point_set(n, rng, box=COORD_LIMIT)
+        yield path_complement(n).graph.ps
+    for n in range(5, 20, 2):
+        yield r_construction(n)[1].graph.ps
+    corners = [Point(sx * COORD_LIMIT, sy * COORD_LIMIT) for sx in (-1, 1) for sy in (-1, 1)]
+    for _ in range(6):
+        points = corners + list(random_point_set(4, rng, box=COORD_LIMIT).points)
+        if in_general_position(points):
+            yield _shuffled(points, rng)
+
+
+def test_pair_count_engine_matches_the_reference_scan():
+    rng = random.Random(9)
+    checked = 0
+    for ps in _differential_point_sets():
+        brute = brute_empty_triples(ps)
+        assert enumerate_empty_triangles(ps) == brute
+        pairs = sorted(complete_graph(ps).edges)
+        for density in (0.0, 0.25, 0.5, 0.75, 1.0):
+            g = GeometricGraph(ps, frozenset(e for e in pairs if rng.random() < density))
+            expected = tuple(t for t in brute if not triple_connected(g, *t))
+            assert disconnected_empty_triangles(g).witnesses == expected
+        checked += 1
+    assert checked > 150
+
+
+@pytest.mark.parametrize(
+    "coords, empty",
+    [
+        # Two vertices on the vertical line x = 0, the fourth point inside.
+        ([(0, 0), (0, 6), (6, 3), (2, 3)], [(0, 1, 3), (0, 2, 3), (1, 2, 3)]),
+        # The same mirrored, listed out of (x, y) order.
+        ([(4, 3), (6, 6), (0, 3), (6, 0)], [(0, 1, 2), (0, 1, 3), (0, 2, 3)]),
+        # The inside point shares its x coordinate with the apex.
+        ([(0, 0), (6, 2), (3, 8), (3, 3)], [(0, 1, 3), (0, 2, 3), (1, 2, 3)]),
+    ],
+)
+def test_shared_x_coordinate_with_a_point_inside(coords, empty):
+    ps = PointSet.from_coords(coords)
+    assert brute_empty_triples(ps) == empty
+    assert enumerate_empty_triangles(ps) == empty
+    edgeless = GeometricGraph(ps, frozenset())
+    assert disconnected_empty_triangles(edgeless).witnesses == tuple(empty)
