@@ -16,9 +16,14 @@ from typing import Iterable, Iterator, Sequence
 # triangle's area in a box of side 2**31) and each of its two products
 # within 2**62 in magnitude; the strip cross products in `triangles` are
 # such determinants too.  All of them fit a signed 64-bit integer.  The
-# sweep's summed directions (`rotation._add`) are wider: their cross
-# products reach about 2**64 and need a wider type.  Python ints never
-# overflow, but the bound keeps instance files portable.
+# sweep's event directions are point differences, within 2**31 per
+# component, and its intermediate directions (`rotation._add`) sum two
+# events through the same pivot, within 2**32.  A cross product of an
+# intermediate direction with a difference from its pivot is thus a sum
+# of two orientation determinants: within 2**63, which the four box
+# corners reach exactly, one past the signed 64-bit range, so it needs a
+# wider type.  Python ints never overflow, but the bound keeps instance
+# files portable.
 COORD_LIMIT = 2**30
 
 INTERIOR = "interior"

@@ -50,7 +50,8 @@ def has_plane_spanning_tree(
     m = len(edges)
     if n == 1:
         tree = certify_plane_spanning_tree(g, [])
-        assert isinstance(tree, PlaneTree)
+        if not isinstance(tree, PlaneTree):
+            raise AssertionError(f"oracle produced invalid tree: {tree}")
         return OracleResult(FOUND, tree, 0)
     degree = [0] * n
     for i, j in edges:
@@ -77,7 +78,8 @@ def has_plane_spanning_tree(
     if not found:
         return OracleResult(ABSENT, None, search.nodes)
     witness = certify_plane_spanning_tree(g, [edges[e] for e in search.chosen])
-    assert isinstance(witness, PlaneTree), f"oracle produced invalid tree: {witness}"
+    if not isinstance(witness, PlaneTree):
+        raise AssertionError(f"oracle produced invalid tree: {witness}")
     return OracleResult(FOUND, witness, search.nodes)
 
 

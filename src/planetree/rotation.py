@@ -12,6 +12,15 @@ is stored symbolically as its pivot plus the open angular interval
 between its two bracketing alignment events; because that interval
 spans less than a half turn, the integer vector sum of its endpoints
 lies strictly inside it and serves as an exact interior direction.
+
+The two scans every sweep state runs, the next alignment about a pivot
+and the side partition, are each one pass over the points with the
+pivot and the direction unpacked to local ints.  The next alignment
+needs one cross product per point: of a point's two rays about the
+pivot, only the one strictly inside the first clockwise half turn can
+come first, so the scan compares one ray per point (see
+`_next_alignment`).  The self-checks raise `AssertionError` explicitly,
+so they hold under `python -O` too.
 """
 
 from __future__ import annotations
@@ -99,7 +108,8 @@ class OrientedLine:
 
     def on_line(self) -> tuple[int, ...]:
         if self.kind == EVENT:
-            assert self.partner is not None
+            if self.partner is None:
+                raise AssertionError("event line without a partner")
             return (self.pivot, self.partner)
         return (self.pivot,)
 
@@ -114,15 +124,19 @@ class SidePartition:
 
 def side_partition(line: OrientedLine, ps: PointSet) -> SidePartition:
     v = ps[line.pivot]
-    on = set(line.on_line())
-    left = set(on)
-    right = set(on)
-    for i, p in enumerate(ps):
-        if i in on:
-            continue
-        s = _cross(line.direction, _vec(v, p))
-        assert s != 0, "off-line point aligned with sweep state"
-        (left if s > 0 else right).add(i)
+    vx, vy = v.x, v.y
+    dx, dy = line.direction
+    on = line.on_line()
+    left = list(on)
+    right = list(on)
+    for i, p in enumerate(ps.points):
+        s = dx * (p.y - vy) - dy * (p.x - vx)
+        if s > 0:
+            left.append(i)
+        elif s < 0:
+            right.append(i)
+        elif i not in on:
+            raise AssertionError("off-line point aligned with sweep state")
     return SidePartition(frozenset(left), frozenset(right))
 
 
@@ -152,25 +166,45 @@ def initial_halving_line(ps: PointSet) -> OrientedLine:
 def _next_alignment(ps: PointSet, pivot: int, ref: Vec) -> tuple[Vec, int]:
     """First alignment reached by rotating clockwise from ref about pivot.
 
-    Each non-pivot point is reached twice per turn, once per ray, so
-    both signed difference vectors compete.  Alignments at offset zero
-    are skipped: they describe the reference state itself.
+    Each non-pivot point p is reached twice per turn, once per ray
+    d = p - pivot and -d, but only one ray can come first.  With
+    c = cross(ref, d):
+
+    - c == 0: p lies on the reference line, so its rays sit at offset
+      zero (the reference state itself) and at a half turn.  Neither
+      can win: in general position some other point has a ray strictly
+      inside the first half turn.  The pivot itself (d = 0) drops out
+      here too.
+    - c != 0: exactly one of d and -d lies strictly inside the first
+      open clockwise half turn (cross(ref, t) < 0), and every such ray
+      comes before every ray at or past the half turn, so only that
+      ray competes: d when c < 0, -d when c > 0.
+
+    Within one open half turn a ray t comes before the best so far
+    exactly when cross(t, best) < 0.  The scan starts from -ref, the
+    end of the half turn, which every candidate comes before.
     """
     v = ps[pivot]
-    best: Vec | None = None
+    vx, vy = v.x, v.y
+    rx, ry = ref
+    bx, by = -rx, -ry
     best_idx = -1
-    for i, p in enumerate(ps):
-        if i == pivot:
+    for i, p in enumerate(ps.points):
+        dx = p.x - vx
+        dy = p.y - vy
+        c = rx * dy - ry * dx
+        if c == 0:
             continue
-        fwd = _vec(v, p)
-        for t in (fwd, _neg(fwd)):
-            if _cw_class(ref, t) == 0:
-                continue
-            if best is None or _cw_before(ref, t, best):
-                best = t
-                best_idx = i
-    assert best is not None
-    return best, best_idx
+        if c > 0:
+            dx = -dx
+            dy = -dy
+        if dx * by - dy * bx < 0:
+            bx = dx
+            by = dy
+            best_idx = i
+    if best_idx < 0:
+        raise AssertionError("no alignment candidate about the pivot")
+    return (bx, by), best_idx
 
 
 def next_event(line: OrientedLine, ps: PointSet) -> tuple[OrientedLine, OrientedLine]:
@@ -240,17 +274,21 @@ def full_rotation(ps: PointSet) -> RotationSequence:
     pending: tuple[Vec, int] | None = None
     cap = 8 * len(ps) ** 2 + 16
     while True:
-        assert len(events) <= cap, "sweep failed to terminate"
+        if len(events) > cap:
+            raise AssertionError("sweep failed to terminate")
         t_ev, partner = (
             pending if pending is not None else _next_alignment(ps, cur_pivot, entering)
         )
         # The current intermediate interval runs clockwise (entering, t_ev).
         if _cw_within_open(entering, _neg(d_ref), t_ev):
-            assert opposite is None, "half-turn direction passed twice"
+            if opposite is not None:
+                raise AssertionError("half-turn direction passed twice")
             opposite = len(intermediates) - 1
         if _cw_within_open(entering, d_ref, t_ev):
-            assert opposite is not None, "full turn completed before half turn"
-            assert cur_pivot == pivots[0], "sweep did not close on its start pivot"
+            if opposite is None:
+                raise AssertionError("full turn completed before half turn")
+            if cur_pivot != pivots[0]:
+                raise AssertionError("sweep did not close on its start pivot")
             break
         event = OrientedLine(EVENT, cur_pivot, t_ev, partner=partner)
         events.append(event)
@@ -268,8 +306,10 @@ def full_rotation(ps: PointSet) -> RotationSequence:
     wrap = intermediates.pop()
     inter_parts = tuple(side_partition(line, ps) for line in intermediates)
     event_parts = tuple(side_partition(line, ps) for line in events)
-    assert side_partition(wrap, ps) == inter_parts[0], "wrap state differs from start"
-    assert opposite is not None
+    if side_partition(wrap, ps) != inter_parts[0]:
+        raise AssertionError("wrap state differs from start")
+    if opposite is None:
+        raise AssertionError("half-turn state not found")
 
     seq = RotationSequence(
         ps=ps,
@@ -287,29 +327,35 @@ def full_rotation(ps: PointSet) -> RotationSequence:
 def _verify_invariants(seq: RotationSequence) -> None:
     n = len(seq.ps)
     k_left = (n + 2) // 2  # ceil((n+1)/2)
-    assert seq.pivots[0] == seq.pivots[-1]
+    if seq.pivots[0] != seq.pivots[-1]:
+        raise AssertionError("pivot sequence does not close")
     for part in seq.intermediate_partitions:
-        assert len(part.left) == k_left
-        assert len(part.right) == n + 1 - k_left
+        if len(part.left) != k_left or len(part.right) != n + 1 - k_left:
+            raise AssertionError("closed side sizes changed")
     count = len(seq.events)
-    assert count == len(seq.intermediates)
+    if count != len(seq.intermediates):
+        raise AssertionError("events and intermediate states do not alternate")
     for j in range(count):
         cur = seq.intermediate_partitions[j]
         nxt = seq.intermediate_partitions[(j + 1) % count]
         ev = seq.event_partitions[j]
         v_old = seq.intermediates[j].pivot
         v_new = seq.events[j].partner
-        assert v_new is not None and v_new != v_old
+        if v_new is None or v_new == v_old:
+            raise AssertionError("event does not move to a new pivot")
         # Exactly one side swaps the old pivot for the new one.
         swap_left = nxt.right == cur.right and nxt.left == (cur.left - {v_old}) | {v_new}
         swap_right = nxt.left == cur.left and nxt.right == (cur.right - {v_old}) | {v_new}
-        assert swap_left != swap_right, "event update dichotomy violated"
+        if swap_left == swap_right:
+            raise AssertionError("event update dichotomy violated")
         # Closed sides of the event line extend the side the new pivot
         # did not come from; the other side is unchanged.
         if v_new in cur.right:
-            assert ev.left == cur.left | {v_new} and ev.right == cur.right
+            ok = ev.left == cur.left | {v_new} and ev.right == cur.right
         else:
-            assert ev.right == cur.right | {v_new} and ev.left == cur.left
+            ok = ev.right == cur.right | {v_new} and ev.left == cur.left
+        if not ok:
+            raise AssertionError("event line sides violate the side laws")
 
 
 def line_crosses_triangle(
@@ -356,8 +402,10 @@ def triangle_crossing_witness(
     k = i
     while k + 1 < j and tset <= parts[k + 1].right:
         k += 1
-    assert k + 1 < j, "triangle stayed on the right side until the target state"
-    assert seq.intermediates[k].pivot in tset, "side switch not at a triangle vertex"
+    if k + 1 >= j:
+        raise AssertionError("triangle stayed on the right side until the target state")
+    if seq.intermediates[k].pivot not in tset:
+        raise AssertionError("side switch not at a triangle vertex")
     for l in range(k + 1, j):
         if line_crosses_triangle(seq.intermediates[l], tri, seq.ps):
             return k, l

@@ -1,10 +1,15 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import planetree
 from planetree.generators import convex_position_points, random_point_set
-from planetree.geometry import PointSet
+from planetree.geometry import COORD_LIMIT, Point, PointSet, in_general_position
 from planetree.rotation import (
     EVENT,
     INTERMEDIATE,
@@ -286,3 +291,84 @@ def test_triangle_crossing_witness_rejects_bad_inputs():
         triangle_crossing_witness(seq, 0, 1, tuple(strict_right))
     with pytest.raises(ValueError):
         triangle_crossing_witness(seq, 2, 1, tuple(strict_right))
+
+
+def _sweep_cross_products(seq):
+    """Every cross product a scan forms: a state direction against the
+    difference from the state's pivot, or an event's partner, to a point."""
+    for line, _ in seq.states():
+        dx, dy = line.direction
+        for center in line.on_line():
+            v = seq.ps[center]
+            for p in seq.ps:
+                yield dx * (p.y - v.y) - dy * (p.x - v.x)
+
+
+def test_sweep_products_stay_within_the_stated_bit_widths():
+    # Event directions are point differences, within 2**31 per component;
+    # intermediate directions sum two of them, within 2**32, so each term
+    # of a cross product is within 2**63 and the product within 2**64.
+    # Both summed events pass through the state's pivot, so the product
+    # is also a sum of two orientation determinants, each within 2**62:
+    # it stays within 2**63, and the four box corners reach that exactly.
+    rng = random.Random(31)
+    corners = [Point(sx * COORD_LIMIT, sy * COORD_LIMIT) for sx in (-1, 1) for sy in (-1, 1)]
+    sets = [random_point_set(n, rng, box=COORD_LIMIT) for n in (3, 6, 10, 16)]
+    sets.append(PointSet(tuple(corners)))
+    while len(sets) < 9:
+        points = corners + list(random_point_set(len(sets) - 4, rng, box=COORD_LIMIT).points)
+        if in_general_position(points):
+            sets.append(PointSet(tuple(points)))
+    for ps in sets:
+        seq = full_rotation(ps)
+        for ev in seq.events:
+            assert max(abs(c) for c in ev.direction) <= 2**31
+        for inter in seq.intermediates:
+            assert max(abs(c) for c in inter.direction) <= 2**32
+        widest = max(abs(c) for c in _sweep_cross_products(seq))
+        assert widest <= 2**63
+        if ps.points == tuple(corners):
+            assert widest == 2**63  # one past the signed 64-bit range
+
+
+SELF_CHECKS_UNDER_O = """
+import dataclasses, random
+from planetree.generators import random_point_set
+from planetree.geometry import PointSet
+from planetree.rotation import (
+    INTERMEDIATE, OrientedLine, _verify_invariants, full_rotation, side_partition,
+)
+
+print(__debug__)
+ps = PointSet.from_coords([(0, 0), (4, 1), (1, 5)])
+try:
+    side_partition(OrientedLine(INTERMEDIATE, 0, (4, 1)), ps)  # through point 1
+except AssertionError as err:
+    print("side_partition:", err)
+seq = full_rotation(random_point_set(9, random.Random(5)))
+parts = list(seq.intermediate_partitions)
+parts[1], parts[2] = parts[2], parts[1]
+try:
+    _verify_invariants(dataclasses.replace(seq, intermediate_partitions=tuple(parts)))
+except AssertionError as err:
+    print("_verify_invariants:", err)
+for line, part in seq.states():
+    print(line, sorted(part.left), sorted(part.right))
+"""
+
+
+def test_sweep_self_checks_raise_under_python_O():
+    env = {**os.environ, "PYTHONPATH": str(Path(planetree.__file__).parents[1])}
+    runs = [
+        subprocess.run(
+            [sys.executable, *flags, "-c", SELF_CHECKS_UNDER_O],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout.splitlines()
+        for flags in ((), ("-O",))
+    ]
+    plain, optimised = runs
+    assert plain[0] == "True" and optimised[0] == "False"
+    assert optimised[1] == "side_partition: off-line point aligned with sweep state"
+    assert optimised[2] == "_verify_invariants: event update dichotomy violated"
+    assert len(optimised) > 10
+    assert optimised[1:] == plain[1:]
