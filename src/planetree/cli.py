@@ -173,14 +173,16 @@ def cmd_oracle(args) -> int:
     g = load_instance(args.path)
     result = has_plane_spanning_tree(g, budget=args.budget)
     if result.status == FOUND:
-        assert result.witness is not None
+        if result.witness is None:
+            raise AssertionError("oracle reported a tree without a witness")
         tree = sorted(list(e) for e in result.witness.tree_edges)
         print(f"exists tree={json.dumps(tree)} nodes={result.nodes}")
         return 0
     if result.status == ABSENT:
         print(f"not-exists nodes={result.nodes}")
         return 3
-    assert result.status == BUDGET_EXCEEDED
+    if result.status != BUDGET_EXCEEDED:
+        raise AssertionError(f"unknown oracle status {result.status!r}")
     print(f"budget-exceeded nodes={result.nodes}")
     return 4
 

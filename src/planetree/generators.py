@@ -15,7 +15,16 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 
-from .geometry import INTERIOR, Point, PointSet, GeneralPositionError, in_convex_position, orient, point_in_triangle
+from .geometry import (
+    INTERIOR,
+    GeneralPositionError,
+    Point,
+    PointSet,
+    _direction_clash,
+    in_convex_position,
+    orient,
+    point_in_triangle,
+)
 from .graphs import GeometricGraph, complete_graph, is_crossing_free
 from .triangles import disconnected_empty_triangles, enumerate_empty_triangles
 
@@ -130,7 +139,11 @@ def r_construction(n: int, scale: int = DEFAULT_SCALE) -> tuple[Instance, Instan
 
 def random_point_set(n: int, rng: random.Random, box: int = RANDOM_BOX) -> PointSet:
     """n integer points in general position, sampled uniformly in a box
-    with point-wise rejection of degeneracies."""
+    with point-wise rejection of degeneracies.
+
+    A candidate is kept when it sees the points kept so far in pairwise
+    distinct, nonzero directions: O(k) per candidate against k points.
+    """
     if n < 1:
         raise ValueError("need at least 1 point")
     pts: list[Point] = []
@@ -140,11 +153,8 @@ def random_point_set(n: int, rng: random.Random, box: int = RANDOM_BOX) -> Point
         if attempts > 1000 * n + 1000:
             raise GenerationError("rejection sampling budget exhausted")
         cand = Point(rng.randint(-box, box), rng.randint(-box, box))
-        if any(cand == p for p in pts):
-            continue
-        if any(orient(p, q, cand) == 0 for p, q in combinations(pts, 2)):
-            continue
-        pts.append(cand)
+        if not _direction_clash(cand, pts):
+            pts.append(cand)
     return PointSet(tuple(pts))
 
 
@@ -158,7 +168,7 @@ def random_instance(
 
     mode "complete": all edges (no disconnected empty triangle at all).
     mode "budgeted": start complete, repeatedly try to delete a random
-    edge, undoing any deletion that would push the disconnected count
+    edge, skipping any deletion that would push the disconnected count
     past n-3; the result always satisfies the count <= n-3.
     """
     if n < 3:
@@ -171,14 +181,14 @@ def random_instance(
     if mode == "complete":
         return Instance(g, "complete", seed=seed)
 
+    # Induced-edge count of each empty triangle, by its position in
+    # `empties`; deleting an edge disconnects the triangles at count 2.
     empties = enumerate_empty_triangles(ps)
-    induced = {}
-    by_edge: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-    for tri in empties:
-        induced[tri] = 3  # complete graph: every pair present
-        u, v, w = tri
+    induced = [3] * len(empties)  # complete graph: every pair present
+    by_edge: dict[tuple[int, int], list[int]] = {}
+    for t, (u, v, w) in enumerate(empties):
         for e in ((u, v), (v, w), (u, w)):
-            by_edge.setdefault(e, []).append(tri)
+            by_edge.setdefault(e, []).append(t)
 
     edges = sorted(g.edges)  # rng draws by position, so removals keep it sorted
     disconnected = 0
@@ -188,15 +198,12 @@ def random_instance(
         if not edges:
             break
         e = rng.choice(edges)
-        delta = 0
-        for tri in by_edge.get(e, ()):
-            induced[tri] -= 1
-            if induced[tri] == 1:
-                delta += 1
+        hit = by_edge.get(e, ())
+        delta = sum(1 for t in hit if induced[t] == 2)
         if disconnected + delta > budget:
-            for tri in by_edge.get(e, ()):
-                induced[tri] += 1
             continue
+        for t in hit:
+            induced[t] -= 1
         disconnected += delta
         del edges[bisect_left(edges, e)]
 

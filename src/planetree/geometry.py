@@ -1,15 +1,18 @@
 """Exact integer predicates over planar point sets.
 
 Every geometric decision in this package reduces to the sign of an
-integer cross product, so there is no floating point anywhere on a
-decision path.  Coordinates are bounded once, at PointSet construction;
-after that every predicate is exact by construction.
+integer cross product or to an exact integer direction key, so there is
+no floating point anywhere on a decision path.  Coordinates are bounded
+once, at PointSet construction; after that every predicate is exact by
+construction.  General position is checked in O(n^2): each point must
+see every earlier point in a distinct, nonzero direction, compared as
+gcd-reduced, sign-normalised integer vectors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from math import gcd
 from typing import Iterable, Iterator, Sequence
 
 # Coordinates up to 2**30 keep every orientation determinant (twice a
@@ -22,8 +25,11 @@ from typing import Iterable, Iterator, Sequence
 # intermediate direction with a difference from its pivot is thus a sum
 # of two orientation determinants: within 2**63, which the four box
 # corners reach exactly, one past the signed 64-bit range, so it needs a
-# wider type.  Python ints never overflow, but the bound keeps instance
-# files portable.
+# wider type.  The angular comparator in `triangles` multiplies two
+# differences from one point, an orientation determinant within 2**62,
+# and the general-position keys are gcd-reduced differences, within
+# 2**31 per component.  Python ints never overflow, but the bound keeps
+# instance files portable.
 COORD_LIMIT = 2**30
 
 INTERIOR = "interior"
@@ -95,23 +101,63 @@ def point_in_triangle(p: Point, a: Point, b: Point, c: Point) -> str:
 
 
 def in_general_position(points: Iterable[Point]) -> bool:
-    """True iff all points are distinct and no three are collinear."""
-    pts = list(points)
-    if len(set(pts)) != len(pts):
-        return False
-    for a, b, c in combinations(pts, 3):
-        if orient(a, b, c) == 0:
-            return False
-    return True
+    """True iff all points are distinct and no three are collinear.
+
+    O(n^2) exact integer work: see `_degeneracy`.
+    """
+    return _degeneracy(list(points)) is None
+
+
+def _degeneracy(pts: Sequence[Point]) -> tuple[int, ...] | None:
+    """Indices of a duplicate pair or a collinear triple of pts, or None.
+
+    Point k is checked against the earlier points only, as the sampler
+    checks a candidate against the points kept so far: a duplicate pair
+    j < k and a collinear triple i < j < k are both caught at k, before
+    any later point could see the pair as one direction.  The witness is
+    (j, k) for pts[j] == pts[k] and (i, j, k) for a collinear triple.
+    """
+    for k in range(1, len(pts)):
+        clash = _direction_clash(pts[k], pts[:k])
+        if clash:
+            return (*clash, k)
+    return None
+
+
+def _direction_clash(p: Point, others: Sequence[Point]) -> tuple[int, ...]:
+    """Where p fails to see `others` in pairwise distinct, nonzero directions.
+
+    Returns () when it does not fail, (j,) when others[j] == p, and
+    (j, k) with j < k when p, others[j] and others[k] are collinear.  Each
+    direction is reduced by its gcd and its sign normalised so that the
+    first nonzero component is positive, so two points lie on one line
+    through p exactly when their keys are equal.
+    """
+    px, py = p.x, p.y
+    seen: dict[tuple[int, int], int] = {}
+    for j, q in enumerate(others):
+        dx, dy = q.x - px, q.y - py
+        g = gcd(dx, dy)
+        if g == 0:
+            return (j,)
+        if dx < 0 or (dx == 0 and dy < 0):
+            g = -g
+        key = (dx // g, dy // g)
+        if key in seen:
+            return (seen[key], j)
+        seen[key] = j
+    return ()
 
 
 @dataclass(frozen=True)
 class PointSet:
     """Immutable indexed point set in general position.
 
-    Validation happens here, once: coordinate bound and general position.
-    All downstream predicates may then assume exactness and
-    non-degeneracy.
+    Validation happens here, once: coordinate bound and general position,
+    the latter in O(n^2) (`in_general_position`).  A GeneralPositionError
+    names the offending points.  `subset` skips it, because a subset of a
+    validated set needs none.  All downstream predicates may then assume
+    exactness and non-degeneracy.
     """
 
     points: tuple[Point, ...]
@@ -122,14 +168,36 @@ class PointSet:
                 raise ValueError(
                     f"point {i} = ({p.x}, {p.y}) exceeds coordinate limit {COORD_LIMIT}"
                 )
-        if not in_general_position(self.points):
+        witness = _degeneracy(self.points)
+        if witness is not None:
+            if len(witness) == 2:
+                detail = "points {} and {} coincide".format(*witness)
+            else:
+                detail = "points {}, {} and {} are collinear".format(*witness)
             raise GeneralPositionError(
-                "point set must be duplicate-free with no collinear triple"
+                f"point set must be duplicate-free with no collinear triple: {detail}"
             )
 
     @classmethod
     def from_coords(cls, coords: Iterable[Sequence[int]]) -> "PointSet":
         return cls(tuple(Point(int(x), int(y)) for x, y in coords))
+
+    def subset(self, indices: Sequence[int]) -> "PointSet":
+        """The points at the distinct `indices`, in that order.
+
+        Not validated again: distinct points of a validated set are within
+        the coordinate bound and in general position.  So the indices are
+        checked instead: in range (no negative alias) and distinct.
+        """
+        n = len(self.points)
+        for i in indices:
+            if not (0 <= i < n):
+                raise ValueError(f"index {i} out of range for {n} points")
+        if len(set(indices)) != len(indices):
+            raise ValueError("subset indices must be distinct")
+        sub = object.__new__(PointSet)
+        object.__setattr__(sub, "points", tuple(self.points[i] for i in indices))
+        return sub
 
     def __len__(self) -> int:
         return len(self.points)

@@ -66,11 +66,8 @@ def induced_subgraph(g: GeometricGraph, subset: Iterable[int]) -> GeometricGraph
     order = sorted(set(subset))
     if not order:
         raise ValueError("subset must contain at least one index")
-    for i in order:
-        if not (0 <= i < g.n):
-            raise ValueError(f"index {i} out of range for {g.n} points")
+    sub_ps = g.ps.subset(order)
     local = {parent_idx: k for k, parent_idx in enumerate(order)}
-    sub_ps = PointSet(tuple(g.ps[i] for i in order))
     sub_edges = frozenset(
         (local[i], local[j]) for i, j in g.edges if i in local and j in local
     )

@@ -8,23 +8,26 @@ subgraph's own points, not the parent's.
 
 Emptiness is tested in O(1) per triple from per-pair counts of the
 points below each segment (Eppstein, Overmars, Rote and Woeginger,
-"Finding minimum area k-gons", DCG 1992), so enumerating all empty
-triangles is O(n^3).  The disconnected count tests only the triples
-that induce at most one edge.  On a half-plane subset it can instead
-filter the parent's witnesses, which needs no emptiness test at all.
-Both are cached per point set (and edge set), so a repeated build is
-warm.  The O(n^4) scan of every triple against every point is kept in
-the tests as the independent reference.
+"Finding minimum area k-gons", DCG 1992).  Every pair's count is filled
+up front from per-point angular orders, in O(n^2 log n).  Enumerating
+all empty triangles then tests every triple, O(n^3) in all; the
+disconnected count tests only the triples that induce at most one
+edge.  On a half-plane subset it can instead filter the parent's
+witnesses, which needs no emptiness test at all.  Both are cached per
+point set (and edge set), so a repeated build is warm.  The O(n^4) scan
+of every triple against every point is kept in the tests as the
+independent reference.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cmp_to_key, lru_cache
 from itertools import combinations
 from typing import Iterable
 
-from .geometry import INTERIOR, Point, PointSet, orient, point_in_triangle
+from .geometry import INTERIOR, PointSet, point_in_triangle
 from .graphs import Edge, GeometricGraph
 
 Triple = tuple[int, int, int]
@@ -50,51 +53,87 @@ def _empty_triples(
     Each triple is tested in O(1) from per-pair counts.  Points are ranked
     by (x, y), a symbolic shear of the x order that keeps every
     orientation.  For ranks a < b, below(a, b) counts the points ranked
-    strictly between them that lie strictly right of a -> b.  For a < b < c
-    the points inside triangle abc are below(a,b) + below(b,c) - below(a,c)
+    strictly between them that lie strictly right of a -> b.  A triple
+    a < b < c is empty iff
+
+        below(a, c) == below(a, b) + below(b, c) + [b right of a -> c],
+
+    because the points inside are below(a,b) + below(b,c) - below(a,c)
     when b is left of a -> c, and below(a,c) - below(a,b) - below(b,c) - 1
-    (b itself is below ac) when it is right.  Each count is computed on
-    first use, so only the pairs of tested triples are ever counted.
+    (b itself is below ac) when it is right.  Both the full enumeration
+    and the candidates read the counts from `_below_tables`.
     """
-    n = len(ps)
-    triples = combinations(range(n), 3) if edges is None else _candidates(n, edges)
-    order = sorted(range(n), key=ps.__getitem__)
-    rank = [0] * n
+    order, pos, below = _below_tables(ps)
+    if edges is None:
+        found = (
+            tuple(sorted((order[a], order[b], order[c])))
+            for a, b, c in _all_empty(pos, below)
+        )
+        return tuple(sorted(found))
+    rank = [0] * len(ps)
     for r, i in enumerate(order):
         rank[i] = r
-    pts = [ps[i] for i in order]
-    below = _BelowCounts(pts)
     empty = []
-    for t in triples:
+    for t in _candidates(len(ps), edges):
         a, b, c = sorted((rank[t[0]], rank[t[1]], rank[t[2]]))
-        if orient(pts[a], pts[c], pts[b]) > 0:
-            inside = below[a, b] + below[b, c] - below[a, c]
-        else:
-            inside = below[a, c] - below[a, b] - below[b, c] - 1
-        if inside == 0:
+        if below[a][c] == below[a][b] + below[b][c] + (pos[a][b] < pos[a][c]):
             empty.append(t)
     return tuple(empty)
 
 
-class _BelowCounts(dict):
-    """below[a, b]: points ranked strictly between a < b, strictly right of a -> b.
+def _all_empty(pos: list[list[int]], below: list[list[int]]) -> list[Triple]:
+    """Empty triples a < b < c, as ranks, from `_below_tables`."""
+    n = len(pos)
+    empty = []
+    for a in range(n - 2):
+        pa, ba = pos[a], below[a]
+        for b in range(a + 1, n - 1):
+            pab, bab, bb = pa[b], ba[b], below[b]
+            for c in range(b + 1, n):
+                if ba[c] == bab + bb[c] + (pab < pa[c]):
+                    empty.append((a, b, c))
+    return empty
 
-    Counted by integer cross-product signs over that strip on first use.
+
+@lru_cache(maxsize=8)
+def _below_tables(
+    ps: PointSet,
+) -> tuple[list[int], list[list[int]], list[list[int]]]:
+    """order, pos[a][c] and below[a][b] for ps ranked by (x, y), ranks a < b, c.
+
+    order[r] is the index in ps of the point of rank r.  Every point
+    ranked after a lies in the half-plane dx > 0, or dx == 0 and dy > 0,
+    about a, so one cross-product sign orders them by angle, clockwise
+    first; pos[a][c] is c's place in that order.  Then b lies right of
+    a -> c iff pos[a][b] < pos[a][c], and below[a][b] counts the c
+    between a and b with pos[a][c] < pos[a][b], filled by bisect
+    insertion in rank order.  Entries at or before the diagonal are 0.
+    Cached for a few point sets, so that counting candidates after a full
+    enumeration (the generator's closing check) builds no second table.
     """
+    n = len(ps)
+    order = sorted(range(n), key=ps.__getitem__)
+    pts = [ps[i] for i in order]
+    pos: list[list[int]] = []
+    below: list[list[int]] = []
+    for a, p in enumerate(pts):
+        px, py = p.x, p.y
+        d = [(q.x - px, q.y - py) for q in pts]
 
-    def __init__(self, pts: list[Point]) -> None:
-        super().__init__()
-        self.pts = pts
+        def clockwise_first(i: int, j: int) -> int:
+            return d[i][1] * d[j][0] - d[i][0] * d[j][1]
 
-    def __missing__(self, key: tuple[int, int]) -> int:
-        a, b = key
-        p, q = self.pts[a], self.pts[b]
-        dx, dy = q.x - p.x, q.y - p.y
-        count = sum(
-            1 for r in self.pts[a + 1 : b] if dx * (r.y - p.y) < dy * (r.x - p.x)
-        )
-        self[key] = count
-        return count
+        row = [0] * n
+        for place, c in enumerate(sorted(range(a + 1, n), key=cmp_to_key(clockwise_first))):
+            row[c] = place
+        counts = [0] * n
+        seen: list[int] = []
+        for b in range(a + 1, n):
+            counts[b] = bisect_left(seen, row[b])
+            insort(seen, row[b])
+        pos.append(row)
+        below.append(counts)
+    return order, pos, below
 
 
 @dataclass(frozen=True)
@@ -158,7 +197,7 @@ def relative_equals_global_empty(parent: PointSet, subset: Iterable[int]) -> boo
     False.  Used by property tests only.
     """
     order = sorted(set(subset))
-    sub = PointSet(tuple(parent[i] for i in order))
+    sub = parent.subset(order)
     outside = [parent[i] for i in range(len(parent)) if i not in set(order)]
     for li, lj, lk in _empty_triples(sub):
         a, b, c = sub[li], sub[lj], sub[lk]

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import planetree
 from planetree import cli
 from planetree.cli import main
 from planetree.instance_io import (
@@ -98,6 +103,24 @@ def test_float_coordinates_rejected(tmp_path, capsys):
     assert "points[1][0]" in stderr
 
 
+@pytest.mark.parametrize(
+    "points, detail",
+    [
+        ("[[0, 0], [4, 1], [1, 3], [4, 1]]", "points 1 and 3 coincide"),
+        ("[[0, 0], [4, 1], [2, 2], [8, 2]]", "points 0, 1 and 3 are collinear"),
+    ],
+)
+def test_build_names_the_points_out_of_general_position(tmp_path, capsys, points, detail):
+    bad = tmp_path / "degenerate.json"
+    bad.write_text(f'{{"points": {points}, "edges": []}}')
+    code, stdout, stderr = run(capsys, "build", str(bad))
+    assert code == 1 and stdout == ""
+    assert stderr == (
+        "error: invalid point set: point set must be duplicate-free with no "
+        f"collinear triple: {detail}\n"
+    )
+
+
 def test_build_r_construction(tmp_path, capsys):
     out = tmp_path / "r7.json"
     run(capsys, "gen", "r-construction", "7", "--out", str(out))
@@ -180,6 +203,38 @@ def test_oracle_exit_codes(tmp_path, capsys):
 
     code, stdout, _ = run(capsys, "oracle", str(c10), "--budget", "2")
     assert code == 4 and "budget-exceeded" in stdout
+
+
+ORACLE_CHECKS_UNDER_O = """
+import sys
+from planetree import cli
+from planetree.oracle import FOUND, OracleResult
+
+print(__debug__)
+for status in (FOUND, "unknown"):
+    cli.has_plane_spanning_tree = lambda g, budget: OracleResult(status, None, 0)
+    try:
+        code = cli.main(["oracle", sys.argv[1]])
+    except AssertionError as err:
+        print(status, err)
+    else:
+        print(status, "returned", code)
+"""
+
+
+def test_oracle_result_checks_raise_under_python_O(tmp_path, capsys):
+    c5 = tmp_path / "c5.json"
+    run(capsys, "gen", "complete", "5", "--out", str(c5))
+    env = {**os.environ, "PYTHONPATH": str(Path(planetree.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", ORACLE_CHECKS_UNDER_O, str(c5)],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout.splitlines()
+    assert out == [
+        "False",
+        "found oracle reported a tree without a witness",
+        "unknown unknown oracle status 'unknown'",
+    ]
 
 
 def test_rotate_points_only(tmp_path, capsys):

@@ -18,7 +18,7 @@ from planetree.generators import (
     r_construction,
     random_point_set,
 )
-from planetree.geometry import COORD_LIMIT, Point, PointSet, in_general_position
+from planetree.geometry import COORD_LIMIT, Point, PointSet, in_general_position, orient
 from planetree.graphs import (
     GeometricGraph,
     complete_graph,
@@ -26,7 +26,11 @@ from planetree.graphs import (
     triple_connected,
 )
 from planetree.rotation import full_rotation
-from planetree.triangles import disconnected_empty_triangles, enumerate_empty_triangles
+from planetree.triangles import (
+    _below_tables,
+    disconnected_empty_triangles,
+    enumerate_empty_triangles,
+)
 
 
 def reference_witnesses(g):
@@ -118,6 +122,12 @@ def _differential_point_sets():
         points = corners + list(random_point_set(4, rng, box=COORD_LIMIT).points)
         if in_general_position(points):
             yield _shuffled(points, rng)
+    # Two sets of 30: random at the coordinate limit, and a grid.  A +-5
+    # grid holds at most 22 points in general position (two per column),
+    # so the grid of 30 is +-12, and a +-5 grid of 16 sits next to it.
+    yield random_point_set(30, rng, box=COORD_LIMIT)
+    yield random_point_set(30, rng, box=12)
+    yield random_point_set(16, rng, box=5)
 
 
 def test_pair_count_engine_matches_the_reference_scan():
@@ -133,6 +143,27 @@ def test_pair_count_engine_matches_the_reference_scan():
             assert disconnected_empty_triangles(g).witnesses == expected
         checked += 1
     assert checked > 150
+
+
+def test_below_tables_match_orientation_signs():
+    """The emptiness tables, checked pair by pair with `orient`."""
+    checked = 0
+    for k, ps in enumerate(_differential_point_sets()):
+        if k % 8:
+            continue
+        order, pos, below = _below_tables(ps)
+        pts = [ps[i] for i in order]
+        assert pts == sorted(ps.points)
+        n = len(pts)
+        for a in range(n):
+            for b in range(a + 1, n):
+                right = [c for c in range(a + 1, b) if orient(pts[a], pts[b], pts[c]) < 0]
+                assert below[a][b] == len(right)
+                for c in range(b + 1, n):
+                    clockwise_first = orient(pts[a], pts[b], pts[c]) > 0
+                    assert (pos[a][b] < pos[a][c]) == clockwise_first
+        checked += 1
+    assert checked > 15
 
 
 @pytest.mark.parametrize(

@@ -129,6 +129,17 @@ GOLDEN = [
         "022aef9635856b88cafeb046571ac505dcf9a080f667f0419def6e65be501cac",
         id="budgeted-24-3",
     ),
+    # Seed 1's first instance of each size in the budgeted_large workload.
+    pytest.param(
+        lambda: random_instance(48, 1480),
+        "1ac7b674e0cbaa13f9f2ba01f6c4eb7709d52e0ae788215545bbace122e20d78",
+        id="budgeted-48-1480",
+    ),
+    pytest.param(
+        lambda: random_instance(64, 1640),
+        "6c6af826d83f644200c94ca75a09922a59655fdfade3f5284e08dd3490652d8b",
+        id="budgeted-64-1640",
+    ),
     pytest.param(
         lambda: random_instance(10, 5, mode="complete"),
         "a7cc0afef5bac7c009f1de560b42349063041d4fb5a190ffbfaf221a7a53d2b3",

@@ -115,3 +115,16 @@ def test_convex_position_examples():
     assert not in_convex_position(with_inner)
     triangle = PointSet.from_coords([(0, 0), (5, 1), (2, 7)])
     assert in_convex_position(triangle)
+
+
+def test_subset_equals_a_validated_point_set():
+    ps = PointSet.from_coords([(0, 0), (5, 1), (2, 7), (9, 4), (-3, 6)])
+    for indices in ([0], [4, 1, 2], [0, 1, 2, 3, 4], []):
+        sub = ps.subset(indices)
+        fresh = PointSet(tuple(ps[i] for i in indices))
+        assert sub == fresh and hash(sub) == hash(fresh)
+    with pytest.raises(ValueError):
+        ps.subset([1, 3, 1])
+    for indices in ([0, -5], [-1], [5], [2, 7]):
+        with pytest.raises(ValueError, match="out of range"):
+            ps.subset(indices)
