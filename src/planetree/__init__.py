@@ -39,7 +39,6 @@ from .triangles import (
     DisconnectedTriangles,
     disconnected_empty_triangles,
     enumerate_empty_triangles,
-    relative_equals_global_empty,
 )
 from .rotation import (
     EVENT,
@@ -50,9 +49,8 @@ from .rotation import (
     full_rotation,
     initial_halving_line,
     line_crosses_triangle,
-    next_event,
     side_partition,
-    triangle_crossing_witness,
+    sweep_states,
 )
 from .builder import (
     BuildReport,

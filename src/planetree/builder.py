@@ -1,14 +1,18 @@
 """Recursive plane-spanning-tree construction via balanced sweep splits.
 
-The strategy: run the rotating sweep, scan its states in order, and
-take the first line both of whose closed sides satisfy the inductive
-size condition (disconnected empty triangles <= side size - 3).  Each
-side is solved recursively and the two side trees are merged across the
-split line.  Sizes 3 and 4 go to the exhaustive oracle directly.
+The strategy: take the rotating sweep's states lazily, in order, and
+stop at the first line both of whose closed sides satisfy the inductive
+size condition (disconnected empty triangles <= side size - 3).  The
+sweep checks each state it yields, so the scan checks exactly the steps
+it visits; the rest of the turn is never computed.  Each side is solved
+recursively and the two side trees are merged across the split line.
+Sizes 3 and 4 go to the exhaustive oracle directly.
 
 The scan is deliberately more generous than the four-way case analysis
 that justifies it; the analysis survives as the case_tag diagnostic so
 that tests can pin down which configuration an instance realizes.
+Cases 1, 3 and 4 follow from the start line's sides; only case 2 runs
+the full, fully checked turn for its crossing walk.
 """
 
 from __future__ import annotations
@@ -24,13 +28,14 @@ from .graphs import (
     certify_plane_spanning_tree,
     induced_subgraph,
 )
-from .oracle import DEFAULT_BUDGET, has_plane_spanning_tree
+from .oracle import BUDGET_EXCEEDED, DEFAULT_BUDGET, has_plane_spanning_tree
 from .rotation import (
-    EVENT,
     OrientedLine,
     RotationSequence,
+    SidePartition,
     full_rotation,
     line_crosses_triangle,
+    sweep_states,
 )
 from .triangles import Triple, disconnected_empty_triangles
 
@@ -61,6 +66,7 @@ class BuildReport:
     trace: list[tuple[int, str]] = field(default_factory=list)
     precondition_violated: bool = False
     theorem_gap_fallback_used: bool = False
+    oracle_budget_exceeded: bool = False
     max_depth: int = 0
 
     def flags(self) -> list[str]:
@@ -69,6 +75,8 @@ class BuildReport:
             out.append("precondition_violated")
         if self.theorem_gap_fallback_used:
             out.append("theorem_gap_fallback_used")
+        if self.oracle_budget_exceeded:
+            out.append("oracle_budget_exceeded")
         return out
 
     def to_text(self) -> str:
@@ -88,19 +96,22 @@ def find_valid_split(
 ) -> SplitLine | None:
     """First sweep state whose closed sides both satisfy the size condition.
 
-    Scans intermediate and event lines in sweep order, so the result is
-    deterministic for a fixed input.  Returns None when no state
-    qualifies, which the theorem rules out whenever g itself satisfies
-    the size condition.  `witnesses` are g's disconnected empty
-    triangles, counted here when not given.  Each side is a closed
+    Takes states from `sweep_states` in sweep order and stops at the
+    first that qualifies, so the result is deterministic for a fixed
+    input and the rest of the turn is never computed.  Returns None when
+    no state qualifies, which the theorem rules out whenever g itself
+    satisfies the size condition.  `witnesses` are g's disconnected
+    empty triangles, counted here when not given.  Each side is a closed
     half-plane of g, so its count is the number of witnesses it contains.
     """
     if g.n < 5:
         raise ValueError("splitting needs at least 5 points")
     if witnesses is None:
         witnesses = disconnected_empty_triangles(g).witnesses
-    seq = full_rotation(g.ps)
-    for line, part in seq.states():
+    part0 = None
+    for index, (line, part) in enumerate(sweep_states(g.ps)):
+        if index == 0:
+            part0 = part
         left = part.left
         right = part.right
         if len(left) < 3 or len(right) < 3:
@@ -109,14 +120,13 @@ def find_valid_split(
             continue
         if _side_count(witnesses, right) > len(right) - 3:
             continue
-        tag = _classify(g, seq, line, witnesses)
         return SplitLine(
             graph=g,
             line=line,
             left_indices=left,
             right_indices=right,
             shared=left & right,
-            case_tag=tag,
+            case_tag=_classify(g, part0, index, witnesses),
         )
     return None
 
@@ -127,27 +137,29 @@ def _side_count(witnesses: tuple[Triple, ...], side: frozenset[int]) -> int:
 
 def _classify(
     g: GeometricGraph,
-    seq: RotationSequence,
-    winner: OrientedLine,
+    part0: SidePartition,
+    winner_index: int,
     witnesses: tuple[Triple, ...],
 ) -> str:
-    """Diagnostic tag: which configuration of the start line led here."""
-    start = seq.intermediates[0]
-    part0 = seq.intermediate_partitions[0]
+    """Diagnostic tag: which configuration of the start line led here.
+
+    part0 holds the start line's sides; winner_index is the winner's
+    place in sweep order (intermediate i at 2i, event i at 2i + 1).
+    """
+    if winner_index == 0:
+        return CASE1
     low_left = _side_count(witnesses, part0.left) <= len(part0.left) - 3
     low_right = _side_count(witnesses, part0.right) <= len(part0.right) - 3
-    if winner is start:
-        return CASE1
     if low_left and not low_right:
         return CASE4
     if not low_left and low_right:
         return CASE3
     # Both sides of the start line are overloaded: the qualifying state
     # should be the shifted event line located by the crossing walk.
-    walk = case2_walk(g, seq, witnesses)
+    walk = case2_walk(g, full_rotation(g.ps), witnesses)
     if walk is not None:
         subcase, event_idx, _ = walk
-        if winner.kind == EVENT and seq.events[event_idx] is winner:
+        if winner_index == 2 * event_idx + 1:
             return subcase
     return FALLBACK
 
@@ -253,6 +265,8 @@ def build_plane_tree(
     carries precondition_violated and the exhaustive oracle decides.
     theorem_gap_fallback_used marks the impossible middle case (size
     condition met but no split found) and signals a bug.
+    oracle_budget_exceeded means an oracle call ran out of budget: the
+    build stops there without a tree, which proves nothing about g.
     """
     if g.n < 3:
         raise ValueError("need at least 3 points")
@@ -260,7 +274,11 @@ def build_plane_tree(
     witnesses = disconnected_empty_triangles(g).witnesses
     if len(witnesses) > g.n - 3:
         report.precondition_violated = True
-    edges = _build(g, witnesses, report, 1, oracle_budget)
+    try:
+        edges = _build(g, witnesses, report, 1, oracle_budget)
+    except _OracleBudgetSpent:
+        report.oracle_budget_exceeded = True
+        return report
     if edges is not None:
         certified = certify_plane_spanning_tree(g, edges)
         if not isinstance(certified, PlaneTree):
@@ -311,8 +329,15 @@ def _build(
     return frozenset(merge_side_trees(t_left, t_right, split).tree_edges)
 
 
+class _OracleBudgetSpent(Exception):
+    """An oracle call ran out of budget, so the build has no verdict."""
+
+
 def _oracle_edges(g: GeometricGraph, budget: int) -> frozenset[Edge] | None:
+    """The oracle's tree edges, or None when g has none."""
     result = has_plane_spanning_tree(g, budget=budget)
+    if result.status == BUDGET_EXCEEDED:
+        raise _OracleBudgetSpent
     if result.witness is None:
         return None
     return result.witness.tree_edges

@@ -148,7 +148,9 @@ def cmd_build(args) -> int:
     if args.svg is not None:
         write_svg(g, args.svg, report.tree.tree_edges if report.tree else None)
         print(f"svg={args.svg}")
-    return 0 if report.tree is not None else 3
+    if report.tree is not None:
+        return 0
+    return 4 if report.oracle_budget_exceeded else 3
 
 
 def cmd_check(args) -> int:

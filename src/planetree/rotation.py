@@ -19,14 +19,17 @@ pivot and the direction unpacked to local ints.  The next alignment
 needs one cross product per point: of a point's two rays about the
 pivot, only the one strictly inside the first clockwise half turn can
 come first, so the scan compares one ray per point (see
-`_next_alignment`).  The self-checks raise `AssertionError` explicitly,
-so they hold under `python -O` too.
+`_next_alignment`).
+
+`sweep_states` is the one sweep loop: it yields checked states lazily,
+and `full_rotation` drains it into a stored turn.  The self-checks
+raise `AssertionError` explicitly, so they hold under `python -O` too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Generator, Iterable, Iterator
 
 from .geometry import Point, PointSet
 
@@ -207,20 +210,6 @@ def _next_alignment(ps: PointSet, pivot: int, ref: Vec) -> tuple[Vec, int]:
     return (bx, by), best_idx
 
 
-def next_event(line: OrientedLine, ps: PointSet) -> tuple[OrientedLine, OrientedLine]:
-    """Advance one step: the event line hit next, then the following
-    intermediate line (pivoting on the newly reached point)."""
-    if line.kind != INTERMEDIATE:
-        raise ValueError("can only advance from an intermediate line")
-    t_ev, partner = _next_alignment(ps, line.pivot, line.direction)
-    event = OrientedLine(EVENT, line.pivot, t_ev, partner=partner)
-    t_after, _ = _next_alignment(ps, partner, t_ev)
-    inter = OrientedLine(
-        INTERMEDIATE, partner, _add(t_ev, t_after), brackets=(t_ev, t_after)
-    )
-    return event, inter
-
-
 @dataclass(frozen=True)
 class RotationSequence:
     """All states of one full clockwise turn.
@@ -253,109 +242,139 @@ class RotationSequence:
             yield self.events[i], self.event_partitions[i]
 
 
-def full_rotation(ps: PointSet) -> RotationSequence:
-    """Run the sweep for a full turn and verify its invariants.
+def sweep_states(
+    ps: PointSet,
+) -> Generator[tuple[OrientedLine, SidePartition], None, int]:
+    """The states of one full clockwise turn with their closed sides.
 
-    Completion is detected combinatorially: the moving direction passes
-    the reversed start direction once (half turn) and the start
-    direction itself once (full turn).  The start direction is generic,
-    never parallel to a point difference, so neither passage can
-    coincide with an event.
+    Yields the start line, then alternately the event line met next and
+    the intermediate line after it; the state after the last event is
+    the start again and is not yielded.  The moving direction passes the
+    reversed start direction once (half turn) and the start direction
+    once (full turn); the start direction is generic, so neither passage
+    coincides with an event.
+
+    Each state is checked against the intermediate state before it
+    before it is yielded (side sizes, swap dichotomy, event side laws),
+    so a consumer that stops early has checked every step it saw.  Once
+    drained, the generator runs the closing checks (half turn, pivot
+    closure, wrap equals start) and returns the half-turn state's index.
     """
+    n = len(ps)
     start = initial_halving_line(ps)
+    start_part = side_partition(start, ps)
+    _check_sizes(start_part, n)
     d_ref = start.direction
-    intermediates: list[OrientedLine] = [start]
-    events: list[OrientedLine] = []
-    pivots: list[int] = [start.pivot]
+    line, part, entering = start, start_part, d_ref
+    t_ev, partner = _next_alignment(ps, start.pivot, d_ref)
+    index = 0  # of `line` among the intermediate states
     opposite: int | None = None
-
-    cur_pivot = start.pivot
-    entering = start.direction
-    pending: tuple[Vec, int] | None = None
-    cap = 8 * len(ps) ** 2 + 16
+    cap = 8 * n**2 + 16
     while True:
-        if len(events) > cap:
+        if index > cap:
             raise AssertionError("sweep failed to terminate")
-        t_ev, partner = (
-            pending if pending is not None else _next_alignment(ps, cur_pivot, entering)
-        )
-        # The current intermediate interval runs clockwise (entering, t_ev).
+        # `line` spans the clockwise open interval (entering, t_ev).
         if _cw_within_open(entering, _neg(d_ref), t_ev):
             if opposite is not None:
                 raise AssertionError("half-turn direction passed twice")
-            opposite = len(intermediates) - 1
+            opposite = index
         if _cw_within_open(entering, d_ref, t_ev):
-            if opposite is None:
-                raise AssertionError("full turn completed before half turn")
-            if cur_pivot != pivots[0]:
-                raise AssertionError("sweep did not close on its start pivot")
             break
-        event = OrientedLine(EVENT, cur_pivot, t_ev, partner=partner)
-        events.append(event)
+        yield line, part
+        event = OrientedLine(EVENT, line.pivot, t_ev, partner=partner)
+        event_part = side_partition(event, ps)
+        _check_event(part, event_part, line.pivot, partner)
+        yield event, event_part
         t_after, partner_after = _next_alignment(ps, partner, t_ev)
-        intermediates.append(
-            OrientedLine(INTERMEDIATE, partner, _add(t_ev, t_after), brackets=(t_ev, t_after))
+        nxt = OrientedLine(
+            INTERMEDIATE, partner, _add(t_ev, t_after), brackets=(t_ev, t_after)
         )
-        pivots.append(partner)
-        cur_pivot = partner
-        entering = t_ev
-        pending = (t_after, partner_after)
-
-    # The state that wraps past the full turn is the start state again;
-    # drop the duplicate but keep its pivot as the closing sequence entry.
-    wrap = intermediates.pop()
-    inter_parts = tuple(side_partition(line, ps) for line in intermediates)
-    event_parts = tuple(side_partition(line, ps) for line in events)
-    if side_partition(wrap, ps) != inter_parts[0]:
-        raise AssertionError("wrap state differs from start")
+        nxt_part = side_partition(nxt, ps)
+        _check_sizes(nxt_part, n)
+        _check_swap(part, nxt_part, line.pivot, partner)
+        line, part, entering = nxt, nxt_part, t_ev
+        t_ev, partner = t_after, partner_after
+        index += 1
     if opposite is None:
-        raise AssertionError("half-turn state not found")
+        raise AssertionError("full turn completed before half turn")
+    if line.pivot != start.pivot:
+        raise AssertionError("sweep did not close on its start pivot")
+    if part != start_part:
+        raise AssertionError("wrap state differs from start")
+    return opposite
 
-    seq = RotationSequence(
+
+def full_rotation(ps: PointSet) -> RotationSequence:
+    """Drain `sweep_states` into a stored full turn, closing checks included."""
+    states = sweep_states(ps)
+    lines: list[OrientedLine] = []
+    parts: list[SidePartition] = []
+    while True:
+        try:
+            line, part = next(states)
+        except StopIteration as done:
+            opposite = done.value
+            break
+        lines.append(line)
+        parts.append(part)
+    intermediates = tuple(lines[0::2])
+    return RotationSequence(
         ps=ps,
-        intermediates=tuple(intermediates),
-        events=tuple(events),
-        pivots=tuple(pivots),
+        intermediates=intermediates,
+        events=tuple(lines[1::2]),
+        pivots=tuple(inter.pivot for inter in intermediates) + (intermediates[0].pivot,),
         opposite_index=opposite,
-        intermediate_partitions=inter_parts,
-        event_partitions=event_parts,
+        intermediate_partitions=tuple(parts[0::2]),
+        event_partitions=tuple(parts[1::2]),
     )
-    _verify_invariants(seq)
-    return seq
+
+
+def _check_sizes(part: SidePartition, n: int) -> None:
+    """Every intermediate line has ceil((n+1)/2) points on or left of it."""
+    k_left = (n + 2) // 2
+    if len(part.left) != k_left or len(part.right) != n + 1 - k_left:
+        raise AssertionError("closed side sizes changed")
+
+
+def _check_event(
+    cur: SidePartition, event: SidePartition, v_old: int, v_new: int | None
+) -> None:
+    """The event leaving `cur` adds its new pivot to the side that pivot
+    did not come from and leaves the other side unchanged."""
+    if v_new is None or v_new == v_old:
+        raise AssertionError("event does not move to a new pivot")
+    if v_new in cur.right:
+        ok = event.left == cur.left | {v_new} and event.right == cur.right
+    else:
+        ok = event.right == cur.right | {v_new} and event.left == cur.left
+    if not ok:
+        raise AssertionError("event line sides violate the side laws")
+
+
+def _check_swap(cur: SidePartition, nxt: SidePartition, v_old: int, v_new: int) -> None:
+    """Across an event, exactly one side swaps the old pivot for the new."""
+    swap_left = nxt.right == cur.right and nxt.left == (cur.left - {v_old}) | {v_new}
+    swap_right = nxt.left == cur.left and nxt.right == (cur.right - {v_old}) | {v_new}
+    if swap_left == swap_right:
+        raise AssertionError("event update dichotomy violated")
 
 
 def _verify_invariants(seq: RotationSequence) -> None:
+    """Re-check a stored turn with the laws `sweep_states` checks as it goes."""
     n = len(seq.ps)
-    k_left = (n + 2) // 2  # ceil((n+1)/2)
     if seq.pivots[0] != seq.pivots[-1]:
         raise AssertionError("pivot sequence does not close")
     for part in seq.intermediate_partitions:
-        if len(part.left) != k_left or len(part.right) != n + 1 - k_left:
-            raise AssertionError("closed side sizes changed")
+        _check_sizes(part, n)
     count = len(seq.events)
     if count != len(seq.intermediates):
         raise AssertionError("events and intermediate states do not alternate")
     for j in range(count):
         cur = seq.intermediate_partitions[j]
-        nxt = seq.intermediate_partitions[(j + 1) % count]
-        ev = seq.event_partitions[j]
         v_old = seq.intermediates[j].pivot
         v_new = seq.events[j].partner
-        if v_new is None or v_new == v_old:
-            raise AssertionError("event does not move to a new pivot")
-        # Exactly one side swaps the old pivot for the new one.
-        swap_left = nxt.right == cur.right and nxt.left == (cur.left - {v_old}) | {v_new}
-        swap_right = nxt.left == cur.left and nxt.right == (cur.right - {v_old}) | {v_new}
-        if swap_left == swap_right:
-            raise AssertionError("event update dichotomy violated")
-        # Closed sides of the event line extend the side the new pivot
-        # did not come from; the other side is unchanged.
-        if v_new in cur.right:
-            ok = ev.left == cur.left | {v_new} and ev.right == cur.right
-        else:
-            ok = ev.right == cur.right | {v_new} and ev.left == cur.left
-        if not ok:
-            raise AssertionError("event line sides violate the side laws")
+        _check_event(cur, seq.event_partitions[j], v_old, v_new)
+        _check_swap(cur, seq.intermediate_partitions[(j + 1) % count], v_old, v_new)
 
 
 def line_crosses_triangle(
@@ -375,38 +394,3 @@ def line_crosses_triangle(
         elif s < 0:
             has_right = True
     return has_left and has_right
-
-
-def triangle_crossing_witness(
-    seq: RotationSequence, i: int, j: int, tri: tuple[int, int, int]
-) -> tuple[int, int]:
-    """Locate where a triangle switches sides during the sweep.
-
-    Given intermediate state indices i < j with all of tri on or right
-    of state i and on or left of state j, returns (k, l) with
-    i <= k < l < j such that state k's pivot is a triangle vertex, the
-    triangle is still on or right of state k, and state l strictly
-    separates its vertices.  Only one triangle vertex can switch sides
-    per step, so the scan below cannot fail; a failure is a bug.
-    """
-    tset = set(tri)
-    if len(tset) != 3:
-        raise ValueError("triangle must have three distinct vertices")
-    count = len(seq.intermediates)
-    if not (0 <= i < j < count):
-        raise ValueError("need intermediate state indices i < j")
-    parts = seq.intermediate_partitions
-    if not (tset <= parts[i].right and tset <= parts[j].left):
-        raise ValueError("triangle must lie in right(i) and left(j)")
-
-    k = i
-    while k + 1 < j and tset <= parts[k + 1].right:
-        k += 1
-    if k + 1 >= j:
-        raise AssertionError("triangle stayed on the right side until the target state")
-    if seq.intermediates[k].pivot not in tset:
-        raise AssertionError("side switch not at a triangle vertex")
-    for l in range(k + 1, j):
-        if line_crosses_triangle(seq.intermediates[l], tri, seq.ps):
-            return k, l
-    raise AssertionError("no separating state between side switch and target")

@@ -27,7 +27,7 @@ from functools import cmp_to_key, lru_cache
 from itertools import combinations
 from typing import Iterable
 
-from .geometry import INTERIOR, PointSet, point_in_triangle
+from .geometry import PointSet
 from .graphs import Edge, GeometricGraph
 
 Triple = tuple[int, int, int]
@@ -175,33 +175,23 @@ def disconnected_empty_triangles(
 
 
 def _candidates(n: int, edges: frozenset[Edge]) -> list[Triple]:
-    """Sorted triples of n points with two non-edges at a shared vertex."""
+    """Sorted triples of n points with two non-edges at a shared vertex.
+
+    Each triple is built once: at the vertex its two non-edges share
+    when its third pair is an edge, and at its smallest vertex when all
+    three pairs are non-edges.
+    """
     non_adjacent: list[list[int]] = [[] for _ in range(n)]
     for i, j in combinations(range(n), 2):
         if (i, j) not in edges:
             non_adjacent[i].append(j)
             non_adjacent[j].append(i)
-    triples = {
-        tuple(sorted((v, a, b)))
-        for v, others in enumerate(non_adjacent)
-        for a, b in combinations(others, 2)
-    }
-    return sorted(triples)
-
-
-def relative_equals_global_empty(parent: PointSet, subset: Iterable[int]) -> bool:
-    """Diagnostic: subset-relative emptiness implies parent emptiness.
-
-    Meaningful when subset is the intersection of parent with a closed
-    half-plane (then it is a theorem); arbitrary subsets may return
-    False.  Used by property tests only.
-    """
-    order = sorted(set(subset))
-    sub = parent.subset(order)
-    outside = [parent[i] for i in range(len(parent)) if i not in set(order)]
-    for li, lj, lk in _empty_triples(sub):
-        a, b, c = sub[li], sub[lj], sub[lk]
-        for p in outside:
-            if point_in_triangle(p, a, b, c) == INTERIOR:
-                return False
-    return True
+    triples: list[Triple] = []
+    for v, others in enumerate(non_adjacent):
+        for a, b in combinations(others, 2):  # a < b
+            if v < a:
+                triples.append((v, a, b))
+            elif (a, b) in edges:
+                triples.append((a, v, b) if v < b else (a, b, v))
+    triples.sort()
+    return triples

@@ -5,10 +5,17 @@ One test per criterion, in order; each prints a single summary line, so
 All expectations are exact; there are no tolerances to tune.
 """
 
+import os
 import random
+import subprocess
+import sys
 from contextlib import contextmanager
 from itertools import combinations
+from pathlib import Path
 
+from _diagnostics import relative_equals_global_empty, triangle_crossing_witness
+
+import planetree
 from planetree.builder import build_plane_tree
 from planetree.generators import (
     path_complement,
@@ -18,16 +25,8 @@ from planetree.generators import (
 )
 from planetree.graphs import PlaneTree, certify_plane_spanning_tree, complete_graph
 from planetree.oracle import ABSENT, FOUND, has_plane_spanning_tree
-from planetree.rotation import (
-    full_rotation,
-    line_crosses_triangle,
-    triangle_crossing_witness,
-)
-from planetree.triangles import (
-    disconnected_empty_triangles,
-    enumerate_empty_triangles,
-    relative_equals_global_empty,
-)
+from planetree.rotation import full_rotation, line_crosses_triangle
+from planetree.triangles import disconnected_empty_triangles, enumerate_empty_triangles
 
 
 @contextmanager
@@ -207,3 +206,78 @@ def test_criterion_7_builder_soundness():
             )
             produced += 1
         assert produced == 128
+
+
+ACCEPTANCE_CORE = """
+import itertools, random
+import planetree.rotation as rotation
+from planetree.builder import build_plane_tree
+from planetree.generators import r_construction, random_instance, random_point_set
+from planetree.geometry import Point, PointSet
+from planetree.graphs import PlaneTree, certify_plane_spanning_tree
+
+print(__debug__)
+for g in (r_construction(15)[1].graph, random_instance(24, seed=5).graph):
+    report = build_plane_tree(g)
+    verdict = certify_plane_spanning_tree(g, report.tree.tree_edges)
+    print(g.n, report.flags(), isinstance(verdict, PlaneTree), report.trace)
+
+
+def first_error(states, stop):
+    try:
+        for _ in itertools.islice(states, stop):
+            pass
+    except AssertionError as err:
+        return str(err)
+    return "no error"
+
+
+# Three collinear points, past the validation a PointSet makes.
+collinear = object.__new__(PointSet)
+coords = [(0, 0), (2, 0), (4, 0), (1, 3), (3, -2)]
+object.__setattr__(collinear, "points", tuple(Point(x, y) for x, y in coords))
+print(first_error(rotation.sweep_states(collinear), None))
+
+# Swap the sides of state `at` only: its step check must raise before
+# the state is yielded, although the consumer stops right after it.
+honest = rotation.side_partition
+
+
+def swapping(at):
+    calls = itertools.count()
+
+    def side_partition(line, ps):
+        part = honest(line, ps)
+        if next(calls) == at:
+            return rotation.SidePartition(part.right, part.left)
+        return part
+
+    return side_partition
+
+
+for n, at in ((9, 1), (8, 2), (9, 2)):
+    rotation.side_partition = swapping(at)
+    states = rotation.sweep_states(random_point_set(n, random.Random(n)))
+    print(first_error(states, at + 1))
+"""
+
+
+def test_acceptance_core_runs_under_python_O():
+    env = {**os.environ, "PYTHONPATH": str(Path(planetree.__file__).parents[1])}
+    plain, optimised = (
+        subprocess.run(
+            [sys.executable, *flags, "-c", ACCEPTANCE_CORE],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout.splitlines()
+        for flags in ((), ("-O",))
+    )
+    assert plain[0] == "True" and optimised[0] == "False"
+    assert optimised[1:] == plain[1:]
+    for line, n in zip(optimised[1:3], (15, 24)):
+        assert line.startswith(f"{n} [] True [({n}, '")
+    assert optimised[3:] == [
+        "off-line point aligned with sweep state",
+        "event line sides violate the side laws",
+        "closed side sizes changed",
+        "event update dichotomy violated",
+    ]

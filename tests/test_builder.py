@@ -99,6 +99,20 @@ def test_build_path_complement_reports_violation():
         assert not report.theorem_gap_fallback_used
 
 
+
+def test_spent_oracle_budget_is_not_reported_as_absence():
+    spent = build_plane_tree(path_complement(12).graph, oracle_budget=10)
+    assert spent.tree is None
+    assert spent.flags() == ["precondition_violated", "oracle_budget_exceeded"]
+    assert spent.to_text().endswith('flags=["precondition_violated", "oracle_budget_exceeded"]')
+    # A base case that runs out stops the build without a fallback.
+    base = build_plane_tree(r_construction(9)[1].graph, oracle_budget=1)
+    assert base.tree is None
+    assert base.flags() == ["oracle_budget_exceeded"]
+    assert base.trace[-1] == (4, BASE)
+    proven = build_plane_tree(path_complement(8).graph)
+    assert proven.tree is None and proven.flags() == ["precondition_violated"]
+
 def test_merge_with_single_shared_vertex():
     rng = random.Random(40)
     g = complete_graph(random_point_set(9, rng))

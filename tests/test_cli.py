@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
 
 import planetree
 from planetree import cli
+from planetree.builder import build_plane_tree
 from planetree.cli import main
 from planetree.instance_io import (
     InstanceFormatError,
@@ -140,6 +142,19 @@ def test_build_path_complement_exits_3(tmp_path, capsys):
     assert "tree=none" in stdout
     assert "precondition_violated" in stdout
 
+
+
+def test_build_exits_4_when_the_oracle_budget_runs_out(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "t12c.json"
+    run(capsys, "gen", "path-complement", "12", "--out", str(out))
+    monkeypatch.setattr(cli, "build_plane_tree", partial(build_plane_tree, oracle_budget=10))
+    code, stdout, _ = run(capsys, "build", str(out))
+    assert code == 4
+    assert stdout.splitlines() == [
+        "tree=none",
+        'trace=[[12, "fallback"]]',
+        'flags=["precondition_violated", "oracle_budget_exceeded"]',
+    ]
 
 def test_build_svg_output(tmp_path, capsys):
     out = tmp_path / "c6.json"

@@ -8,6 +8,7 @@ All must give exactly the triples of the independent area-identity scan
 """
 
 import random
+from itertools import combinations
 
 import pytest
 from test_triangles import brute_empty_triples
@@ -28,6 +29,7 @@ from planetree.graphs import (
 from planetree.rotation import full_rotation
 from planetree.triangles import (
     _below_tables,
+    _candidates,
     disconnected_empty_triangles,
     enumerate_empty_triangles,
 )
@@ -63,6 +65,35 @@ def test_root_count_matches_reference_on_families():
         for h in (g, edgeless, complete_graph(g.ps)):
             assert disconnected_empty_triangles(h).witnesses == reference_witnesses(h)
 
+
+
+def set_built_candidates(n, edges):
+    """The earlier candidate construction: every vertex's pairs of
+    non-neighbours as sorted tuples, deduplicated by a set."""
+    non_adjacent = [[] for _ in range(n)]
+    for i, j in combinations(range(n), 2):
+        if (i, j) not in edges:
+            non_adjacent[i].append(j)
+            non_adjacent[j].append(i)
+    return sorted(
+        {tuple(sorted((v, a, b))) for v, others in enumerate(non_adjacent)
+         for a, b in combinations(others, 2)}
+    )
+
+
+def test_candidates_match_the_set_construction_without_duplicates():
+    rng = random.Random(606)
+    all_non_edge = 0
+    for n in range(3, 15):
+        for density in (0.0, 0.2, 0.5, 0.8, 1.0):
+            edges = random_graph(n, density, rng).edges
+            built = _candidates(n, edges)
+            assert built == set_built_candidates(n, edges)
+            assert len(set(built)) == len(built)
+            all_non_edge += sum(
+                not ({(a, b), (a, c), (b, c)} & edges) for a, b, c in built
+            )
+    assert all_non_edge > 100
 
 def test_sweep_sides_inherit_the_root_witnesses():
     rng = random.Random(77)

@@ -2,16 +2,13 @@ import random
 from itertools import combinations
 
 import pytest
+from _diagnostics import relative_equals_global_empty
 
 from planetree.generators import convex_position_points, path_complement, random_point_set
 from planetree.geometry import Point, PointSet
 from planetree.graphs import GeometricGraph, complete_graph, induced_subgraph
 from planetree.rotation import full_rotation
-from planetree.triangles import (
-    disconnected_empty_triangles,
-    enumerate_empty_triangles,
-    relative_equals_global_empty,
-)
+from planetree.triangles import disconnected_empty_triangles, enumerate_empty_triangles
 
 
 def _cross2(a, b, c):
