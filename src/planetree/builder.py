@@ -8,6 +8,10 @@ it visits; the rest of the turn is never computed.  Each side is solved
 recursively and the two side trees are merged across the split line.
 Sizes 3 and 4 go to the exhaustive oracle directly.
 
+Levels pass plain edge sets to each other and certify nothing.  A build
+is certified once, at the root: `build_plane_tree` runs the certifier on
+the final tree and raises on a rejection, also under `python -O`.
+
 The scan is deliberately more generous than the four-way case analysis
 that justifies it; the analysis survives as the case_tag diagnostic so
 that tests can pin down which configuration an instance realizes.
@@ -19,6 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from .graphs import (
     Edge,
@@ -27,6 +32,7 @@ from .graphs import (
     canonical_edge,
     certify_plane_spanning_tree,
     induced_subgraph,
+    traversal_tree,
 )
 from .oracle import BUDGET_EXCEEDED, DEFAULT_BUDGET, has_plane_spanning_tree
 from .rotation import (
@@ -211,48 +217,27 @@ def case2_walk(
 
 
 def merge_side_trees(
-    t_left: PlaneTree, t_right: PlaneTree, split: SplitLine
-) -> PlaneTree:
-    """Union the two side trees across the split line into one plane tree.
+    split: SplitLine, left_edges: Iterable[Edge], right_edges: Iterable[Edge]
+) -> frozenset[Edge]:
+    """Join two side trees, given in the parent's indices, across the line.
 
     Side edges live in opposite closed half-planes, so the union is
-    crossing-free; with two shared on-line vertices it may contain one
-    cycle, broken by extracting a traversal tree.  The result is
-    re-certified; failure here means an upstream invariant broke.
+    crossing-free; with two shared on-line vertices it may close one
+    cycle, broken by extracting a traversal tree.  Raises ValueError
+    when an edge leaves its side of the split.  The result is not
+    certified: the caller certifies it, as `build_plane_tree` does once
+    for the whole build.
     """
-    parent = split.graph
-    for tree, side in ((t_left, split.left_indices), (t_right, split.right_indices)):
-        if tree.graph.parent is not parent:
-            raise ValueError("side tree was not built on an induced side subgraph")
-        if set(tree.graph.parent_map or ()) != set(side):
-            raise ValueError("side tree does not span its side of the split")
-    union = t_left.graph.to_parent(t_left.tree_edges) | t_right.graph.to_parent(
-        t_right.tree_edges
-    )
-    if len(union) >= parent.n:
-        union = _traversal_tree(parent.n, union)
-    result = certify_plane_spanning_tree(parent, union)
-    if not isinstance(result, PlaneTree):
-        raise AssertionError(f"merged side trees failed certification: {result}")
-    return result
-
-
-def _traversal_tree(n: int, edges: set[Edge]) -> set[Edge]:
-    adj: dict[int, list[int]] = {i: [] for i in range(n)}
-    for i, j in sorted(edges):
-        adj[i].append(j)
-        adj[j].append(i)
-    seen = {0}
-    out: set[Edge] = set()
-    stack = [0]
-    while stack:
-        cur = stack.pop()
-        for nxt in sorted(adj[cur], reverse=True):
-            if nxt not in seen:
-                seen.add(nxt)
-                out.add(canonical_edge(cur, nxt))
-                stack.append(nxt)
-    return out
+    union: set[Edge] = set()
+    sides = ((left_edges, split.left_indices), (right_edges, split.right_indices))
+    for edges, side in sides:
+        for i, j in edges:
+            if i not in side or j not in side:
+                raise ValueError(f"edge ({i}, {j}) leaves its side of the split")
+            union.add(canonical_edge(i, j))
+    if len(union) >= split.graph.n:
+        union = traversal_tree(split.graph.n, union)
+    return frozenset(union)
 
 
 def build_plane_tree(
@@ -321,12 +306,9 @@ def _build(
         # cannot happen unless something upstream is broken.
         report.theorem_gap_fallback_used = True
         return _oracle_edges(g, budget)
-    t_left = certify_plane_spanning_tree(g_left, left_edges)
-    t_right = certify_plane_spanning_tree(g_right, right_edges)
-    for verdict in (t_left, t_right):
-        if not isinstance(verdict, PlaneTree):
-            raise AssertionError(f"side tree failed certification: {verdict}")
-    return frozenset(merge_side_trees(t_left, t_right, split).tree_edges)
+    return merge_side_trees(
+        split, g_left.to_parent(left_edges), g_right.to_parent(right_edges)
+    )
 
 
 class _OracleBudgetSpent(Exception):

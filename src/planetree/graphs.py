@@ -105,6 +105,30 @@ def find_crossing_pair(
     return None
 
 
+def traversal_tree(n: int, edges: Iterable[Edge]) -> set[Edge]:
+    """Depth-first tree from vertex 0 over edges on vertices 0..n-1.
+
+    It has n-1 edges exactly when the edges connect all n vertices.
+    Edges and neighbours are visited in sorted order, so the tree is a
+    deterministic function of the edge set.
+    """
+    adj: dict[int, list[int]] = {i: [] for i in range(n)}
+    for i, j in sorted(edges):
+        adj[i].append(j)
+        adj[j].append(i)
+    seen = {0}
+    out: set[Edge] = set()
+    stack = [0]
+    while stack:
+        cur = stack.pop()
+        for nxt in sorted(adj[cur], reverse=True):
+            if nxt not in seen:
+                seen.add(nxt)
+                out.add(canonical_edge(cur, nxt))
+                stack.append(nxt)
+    return out
+
+
 @dataclass(frozen=True)
 class PlaneTree:
     """A certified plane spanning tree; construct via certify_plane_spanning_tree."""
@@ -140,27 +164,9 @@ def certify_plane_spanning_tree(
         return Rejection("not-subgraph")
     if len(t) != g.n - 1:
         return Rejection("wrong-count")
-    if not _spans(g.n, t):
+    if not (g.n > 0 and len(traversal_tree(g.n, t)) == g.n - 1):
         return Rejection("disconnected")
     pair = find_crossing_pair(g.ps, t)
     if pair is not None:
         return Rejection("crossing", witness=pair)
     return PlaneTree(g, t)
-
-
-def _spans(n: int, edges: frozenset[Edge]) -> bool:
-    if n == 0:
-        return False
-    adj: dict[int, list[int]] = {i: [] for i in range(n)}
-    for i, j in edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    seen = {0}
-    stack = [0]
-    while stack:
-        cur = stack.pop()
-        for nxt in adj[cur]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return len(seen) == n

@@ -83,6 +83,12 @@ def has_plane_spanning_tree(
     return OracleResult(FOUND, witness, search.nodes)
 
 
+def _find(parent: list[int], x: int) -> int:
+    while parent[x] != x:
+        x = parent[x]
+    return x
+
+
 class _Search:
     def __init__(self, n, edges, crossers, budget):
         self.n = n
@@ -95,12 +101,6 @@ class _Search:
         self.banned = 0  # bitmask of edges crossing something chosen
         self.parent = list(range(n))
 
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
     def run(self) -> bool:
         return self._extend(0, self.n)
 
@@ -112,7 +112,7 @@ class _Search:
             if self.banned >> e & 1:
                 continue
             i, j = self.edges[e]
-            if self.find(i) != self.find(j):
+            if _find(self.parent, i) != _find(self.parent, j):
                 usable.append(e)
         if len(usable) < components - 1:
             return False
@@ -125,7 +125,7 @@ class _Search:
             if self.nodes > self.budget:
                 raise _BudgetExceeded
             i, j = self.edges[e]
-            ri, rj = self.find(i), self.find(j)
+            ri, rj = _find(self.parent, i), _find(self.parent, j)
             if ri == rj:
                 continue  # an earlier pick in this loop merged them
             self.parent[ri] = rj
@@ -142,17 +142,11 @@ class _Search:
     def _connectable(self, usable: list[int], components: int) -> bool:
         # Union every usable edge at once; if that still leaves several
         # components, no subset can reconnect them either.
-        parent = {}
-
-        def find(x):
-            while parent.setdefault(x, x) != x:
-                x = parent[x]
-            return x
-
+        parent = self.parent[:]
         merges = 0
         for e in usable:
             i, j = self.edges[e]
-            ri, rj = find(self.find(i)), find(self.find(j))
+            ri, rj = _find(parent, i), _find(parent, j)
             if ri != rj:
                 parent[ri] = rj
                 merges += 1

@@ -359,24 +359,6 @@ def _check_swap(cur: SidePartition, nxt: SidePartition, v_old: int, v_new: int) 
         raise AssertionError("event update dichotomy violated")
 
 
-def _verify_invariants(seq: RotationSequence) -> None:
-    """Re-check a stored turn with the laws `sweep_states` checks as it goes."""
-    n = len(seq.ps)
-    if seq.pivots[0] != seq.pivots[-1]:
-        raise AssertionError("pivot sequence does not close")
-    for part in seq.intermediate_partitions:
-        _check_sizes(part, n)
-    count = len(seq.events)
-    if count != len(seq.intermediates):
-        raise AssertionError("events and intermediate states do not alternate")
-    for j in range(count):
-        cur = seq.intermediate_partitions[j]
-        v_old = seq.intermediates[j].pivot
-        v_new = seq.events[j].partner
-        _check_event(cur, seq.event_partitions[j], v_old, v_new)
-        _check_swap(cur, seq.intermediate_partitions[(j + 1) % count], v_old, v_new)
-
-
 def line_crosses_triangle(
     line: OrientedLine, tri: Iterable[int], ps: PointSet
 ) -> bool:

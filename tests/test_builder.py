@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import random
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import planetree
+import planetree.builder
 from planetree.builder import (
     BASE,
     CASE1,
@@ -122,13 +124,9 @@ def test_merge_with_single_shared_vertex():
     gr = induced_subgraph(g, split.right_indices)
     # Stars centered on the shared pivot always certify on each side.
     shared = next(iter(split.shared))
-    cl = gl.parent_map.index(shared)
-    cr = gr.parent_map.index(shared)
-    tl = certify_plane_spanning_tree(gl, [(cl, i) for i in range(gl.n) if i != cl])
-    tr = certify_plane_spanning_tree(gr, [(cr, i) for i in range(gr.n) if i != cr])
-    assert isinstance(tl, PlaneTree) and isinstance(tr, PlaneTree)
-    merged = merge_side_trees(tl, tr, split)
-    assert len(merged.tree_edges) == g.n - 1
+    merged = merge_side_trees(split, _star(gl, shared), _star(gr, shared))
+    assert len(merged) == g.n - 1
+    assert isinstance(certify_plane_spanning_tree(g, merged), PlaneTree)
 
 
 def _first_event_split(g):
@@ -148,10 +146,11 @@ def _first_event_split(g):
 
 
 def _star(side, parent_center):
+    """A star tree of `side` centered on `parent_center`, in parent indices."""
     c = side.parent_map.index(parent_center)
     tree = certify_plane_spanning_tree(side, [(c, i) for i in range(side.n) if i != c])
     assert isinstance(tree, PlaneTree)
-    return tree
+    return side.to_parent(tree.tree_edges)
 
 
 def test_merge_two_shared_vertices_dedups_on_line_edge():
@@ -164,11 +163,12 @@ def test_merge_two_shared_vertices_dedups_on_line_edge():
     a, b = sorted(split.shared)
     # Stars rooted at the two shared vertices both contain the on-line
     # edge; the union dedups it and is already a tree.
-    tl, tr = _star(gl, a), _star(gr, b)
-    union = gl.to_parent(tl.tree_edges) | gr.to_parent(tr.tree_edges)
+    left, right = _star(gl, a), _star(gr, b)
+    union = left | right
     assert len(union) == g.n - 1
-    merged = merge_side_trees(tl, tr, split)
-    assert merged.tree_edges == frozenset(union)
+    merged = merge_side_trees(split, left, right)
+    assert merged == frozenset(union)
+    assert isinstance(certify_plane_spanning_tree(g, merged), PlaneTree)
 
 
 def test_merge_two_shared_vertices_drops_cycle_edge():
@@ -182,24 +182,28 @@ def test_merge_two_shared_vertices_drops_cycle_edge():
     # split line, so the union closes one cycle across the two shared
     # vertices and the merge must drop exactly one edge.
     off_line = sorted(split.right_indices - split.shared)[0]
-    tl, tr = _star(gl, a), _star(gr, off_line)
-    union = gl.to_parent(tl.tree_edges) | gr.to_parent(tr.tree_edges)
+    left, right = _star(gl, a), _star(gr, off_line)
+    union = left | right
     assert len(union) == g.n
-    merged = merge_side_trees(tl, tr, split)
-    assert len(merged.tree_edges) == g.n - 1
-    assert merged.tree_edges < frozenset(union)
+    merged = merge_side_trees(split, left, right)
+    assert len(merged) == g.n - 1
+    assert merged < frozenset(union)
+    assert isinstance(certify_plane_spanning_tree(g, merged), PlaneTree)
 
 
 def test_merge_rejects_foreign_side_trees():
     rng = random.Random(42)
     g = complete_graph(random_point_set(8, rng))
     split = find_valid_split(g)
-    other = complete_graph(random_point_set(8, random.Random(43)))
-    sub = induced_subgraph(other, range(5))
-    star = certify_plane_spanning_tree(sub, [(0, i) for i in range(1, 5)])
-    assert isinstance(star, PlaneTree)
+    shared = next(iter(split.shared))
+    left = _star(induced_subgraph(g, split.left_indices), shared)
+    right = _star(induced_subgraph(g, split.right_indices), shared)
+    assert len(merge_side_trees(split, left, right)) == g.n - 1
     with pytest.raises(ValueError):
-        merge_side_trees(star, star, split)
+        merge_side_trees(split, right, left)  # each side's edges on the other
+    stray = min(split.right_indices - split.shared)
+    with pytest.raises(ValueError):
+        merge_side_trees(split, left | {(shared, stray)}, right)
 
 
 def test_builder_matches_oracle_on_arbitrary_sparse_graphs():
@@ -297,25 +301,75 @@ def test_every_returned_tree_is_certified():
         assert isinstance(verdict, PlaneTree)
 
 
+def test_a_build_is_certified_once_at_the_root(monkeypatch):
+    certified = []
+    certify = planetree.builder.certify_plane_spanning_tree
+
+    def counting(g, edges):
+        certified.append(g)
+        return certify(g, edges)
+
+    monkeypatch.setattr(planetree.builder, "certify_plane_spanning_tree", counting)
+    graphs = [random_instance(n, seed=n).graph for n in range(5, 30, 4)]
+    graphs += [r_construction(n)[1].graph for n in (9, 16)]
+    for g in graphs:
+        certified.clear()
+        report = build_plane_tree(g)
+        assert report.tree is not None and report.max_depth >= 2
+        assert len(certified) == 1 and certified[0] is g
+    certified.clear()
+    assert build_plane_tree(path_complement(8).graph).tree is None
+    assert certified == []
+
+
+# sha256 of the concatenated build reports (trees, traces with case tags,
+# flags) of a fixed corpus: budgeted instances n=5..12, r-constructions
+# n=6..29 and path complements n=5..11.
+GOLDEN_BUILDS = "a88ff1ed7e93e5bf97930875b85a49025ba33a5145bdbeb3ee627269692f08a7"
+
+
+def test_build_reports_are_byte_stable():
+    graphs = [
+        random_instance(5 + t % 8, seed=1_000_003 + t, mode="budgeted").graph
+        for t in range(800)
+    ]
+    graphs += [r_construction(n)[1].graph for n in range(6, 30)]
+    graphs += [path_complement(n).graph for n in range(5, 12)]
+    text = "".join(build_plane_tree(g).to_text() for g in graphs)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_BUILDS
+
+
 SOUNDNESS_UNDER_O = """
 import planetree.builder as builder
 from planetree.generators import convex_position_points
 from planetree.graphs import complete_graph
 
 print(__debug__)
-builder._oracle_edges = lambda g, budget: frozenset()  # never a spanning tree
-for n in (4, 8):
+
+
+def run(label, n):
     try:
         builder.build_plane_tree(complete_graph(convex_position_points(n)))
     except AssertionError as err:
-        print(n, err)
+        print(label, err)
     else:
-        print(n, "returned")
+        print(label, "returned")
+
+
+oracle_edges, merge = builder._oracle_edges, builder.merge_side_trees
+builder._oracle_edges = lambda g, budget: frozenset()  # never a spanning tree
+for n in (4, 8):
+    run(n, n)
+builder._oracle_edges = oracle_edges
+# A merge that loses one edge of every joined tree.
+builder.merge_side_trees = lambda *args: frozenset(sorted(merge(*args))[1:])
+run("lossy-merge", 8)
 """
 
 
 def test_uncertifiable_edges_raise_under_python_O():
-    # n=4 fails the final certification, n=8 a side tree's.
+    # Levels below the root certify nothing, so every bad tree, whether
+    # from a base case or from a merge, is caught by the root gate.
     env = {**os.environ, "PYTHONPATH": str(Path(planetree.__file__).parents[1])}
     out = subprocess.run(
         [sys.executable, "-O", "-c", SOUNDNESS_UNDER_O],
@@ -323,4 +377,6 @@ def test_uncertifiable_edges_raise_under_python_O():
     ).stdout.splitlines()
     assert out[0] == "False"
     assert out[1] == "4 unsound build: wrong-count"
-    assert out[2] == "8 side tree failed certification: wrong-count"
+    assert out[2] == "8 unsound build: wrong-count"
+    assert out[3] == "lossy-merge unsound build: wrong-count"
+

@@ -331,11 +331,11 @@ def test_sweep_products_stay_within_the_stated_bit_widths():
 
 
 SELF_CHECKS_UNDER_O = """
-import dataclasses, random
+import random
 from planetree.generators import random_point_set
 from planetree.geometry import PointSet
 from planetree.rotation import (
-    INTERMEDIATE, OrientedLine, _verify_invariants, full_rotation, side_partition,
+    INTERMEDIATE, OrientedLine, _check_swap, full_rotation, side_partition,
 )
 
 print(__debug__)
@@ -345,12 +345,11 @@ try:
 except AssertionError as err:
     print("side_partition:", err)
 seq = full_rotation(random_point_set(9, random.Random(5)))
-parts = list(seq.intermediate_partitions)
-parts[1], parts[2] = parts[2], parts[1]
+parts = seq.intermediate_partitions
 try:
-    _verify_invariants(dataclasses.replace(seq, intermediate_partitions=tuple(parts)))
+    _check_swap(parts[0], parts[2], seq.intermediates[0].pivot, seq.events[0].partner)
 except AssertionError as err:
-    print("_verify_invariants:", err)
+    print("_check_swap:", err)
 for line, part in seq.states():
     print(line, sorted(part.left), sorted(part.right))
 """
@@ -368,6 +367,6 @@ def test_sweep_self_checks_raise_under_python_O():
     plain, optimised = runs
     assert plain[0] == "True" and optimised[0] == "False"
     assert optimised[1] == "side_partition: off-line point aligned with sweep state"
-    assert optimised[2] == "_verify_invariants: event update dichotomy violated"
+    assert optimised[2] == "_check_swap: event update dichotomy violated"
     assert len(optimised) > 10
     assert optimised[1:] == plain[1:]
