@@ -48,7 +48,6 @@ from .rotation import (
     SidePartition,
     full_rotation,
     initial_halving_line,
-    line_crosses_triangle,
     side_partition,
     sweep_states,
 )

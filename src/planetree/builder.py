@@ -40,7 +40,6 @@ from .rotation import (
     RotationSequence,
     SidePartition,
     full_rotation,
-    line_crosses_triangle,
     sweep_states,
 )
 from .triangles import Triple, disconnected_empty_triangles
@@ -180,10 +179,10 @@ def case2_walk(
     Returns (subcase, event index, index of the last state before the
     first crossing) or None when the walk cannot be completed.  The walk
     finds the first intermediate state that strictly separates some
-    disconnected empty triangle of g, then advances until the sweep
-    axis returns to the heavy side; the event reached at that moment is
-    the candidate split.  `witnesses` are g's disconnected empty
-    triangles, counted here when not given.
+    disconnected empty triangle of g, read off the state's stored sides,
+    then advances until the sweep axis returns to the heavy side; the
+    event reached at that moment is the candidate split.  `witnesses`
+    are g's disconnected empty triangles, counted here when not given.
     """
     if witnesses is None:
         witnesses = disconnected_empty_triangles(g).witnesses
@@ -192,9 +191,15 @@ def case2_walk(
     parts = seq.intermediate_partitions
     count = len(seq.intermediates)
     first_cross = None
-    for idx in range(count):
-        line = seq.intermediates[idx]
-        if any(line_crosses_triangle(line, t, seq.ps) for t in witnesses):
+    for idx, part in enumerate(parts):
+        # Only the pivot lies on an intermediate line, so the line strictly
+        # separates a triangle when it meets both strict sides.
+        strict_left = part.left - part.right
+        strict_right = part.right - part.left
+        if any(
+            not strict_left.isdisjoint(t) and not strict_right.isdisjoint(t)
+            for t in witnesses
+        ):
             first_cross = idx
             break
     if first_cross is None or first_cross == 0:

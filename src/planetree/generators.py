@@ -158,12 +158,7 @@ def random_point_set(n: int, rng: random.Random, box: int = RANDOM_BOX) -> Point
     return PointSet(tuple(pts))
 
 
-def random_instance(
-    n: int,
-    seed: int,
-    mode: str = "budgeted",
-    removal_attempts: int | None = None,
-) -> Instance:
+def random_instance(n: int, seed: int, mode: str = "budgeted") -> Instance:
     """Seeded random instance on n points.
 
     mode "complete": all edges (no disconnected empty triangle at all).
@@ -193,8 +188,7 @@ def random_instance(
     edges = sorted(g.edges)  # rng draws by position, so removals keep it sorted
     disconnected = 0
     budget = n - 3
-    attempts = removal_attempts if removal_attempts is not None else 3 * len(edges)
-    for _ in range(attempts):
+    for _ in range(3 * len(edges)):
         if not edges:
             break
         e = rng.choice(edges)

@@ -41,9 +41,6 @@ class GeometricGraph:
     def n(self) -> int:
         return len(self.ps)
 
-    def has_edge(self, i: int, j: int) -> bool:
-        return canonical_edge(i, j) in self.edges
-
     def to_parent(self, edges: Iterable[Edge]) -> set[Edge]:
         """Map local edges to the parent graph's index space."""
         if self.parent_map is None:

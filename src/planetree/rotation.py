@@ -6,12 +6,14 @@ left/right sides of every intermediate line have constant sizes, which
 is what makes the sweep useful for balanced splits.
 
 All angular reasoning is combinatorial.  Directions are integer
-vectors; "clockwise offset from d" is a total order built from cross
-and dot product signs, never from float angles.  An intermediate line
-is stored symbolically as its pivot plus the open angular interval
-between its two bracketing alignment events; because that interval
-spans less than a half turn, the integer vector sum of its endpoints
-lies strictly inside it and serves as an exact interior direction.
+vectors, and every decision is the sign of an integer cross product,
+never a float angle: a point's side of a line is one sign, and whether
+a direction lies strictly inside a sweep interval is two (see
+`_strictly_between`).  An intermediate line is stored symbolically as
+its pivot plus the open angular interval between its two bracketing
+alignment events; because that interval spans less than a half turn,
+the integer vector sum of its endpoints lies strictly inside it and
+serves as an exact interior direction.
 
 The two scans every sweep state runs, the next alignment about a pivot
 and the side partition, are each one pass over the points with the
@@ -29,9 +31,9 @@ raise `AssertionError` explicitly, so they hold under `python -O` too.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, Iterable, Iterator
+from typing import Generator, Iterator
 
-from .geometry import Point, PointSet
+from .geometry import PointSet
 
 Vec = tuple[int, int]
 
@@ -39,57 +41,24 @@ INTERMEDIATE = "intermediate"
 EVENT = "event"
 
 
-def _cross(u: Vec, v: Vec) -> int:
-    return u[0] * v[1] - u[1] * v[0]
-
-
-def _dot(u: Vec, v: Vec) -> int:
-    return u[0] * v[0] + u[1] * v[1]
-
-
-def _vec(frm: Point, to: Point) -> Vec:
-    return (to.x - frm.x, to.y - frm.y)
-
-
-def _neg(v: Vec) -> Vec:
-    return (-v[0], -v[1])
-
-
 def _add(u: Vec, v: Vec) -> Vec:
     return (u[0] + v[0], u[1] + v[1])
 
 
-def _cw_class(ref: Vec, t: Vec) -> int:
-    """Coarse clockwise offset of direction t from ref.
+def _strictly_between(start: Vec, x: Vec, end: Vec) -> bool:
+    """True iff x lies strictly inside the clockwise open interval (start, end).
 
-    0: aligned with ref; 1: strictly within the first half turn;
-    2: exactly opposite; 3: strictly within the second half turn.
+    Precondition: end lies strictly inside the first clockwise half turn
+    from start, cross(start, end) < 0.  Every sweep interval
+    (entering, t_ev) meets it, because `_next_alignment` only returns
+    rays with cross(ref, t) < 0.  The interval then spans less than a
+    half turn, so x lies inside it exactly when x is strictly inside the
+    first clockwise half turn from start and end is strictly inside the
+    first clockwise half turn from x.
     """
-    c = _cross(ref, t)
-    if c < 0:
-        return 1
-    if c > 0:
-        return 3
-    return 0 if _dot(ref, t) > 0 else 2
-
-
-def _cw_before(ref: Vec, a: Vec, b: Vec) -> bool:
-    """True iff a has strictly smaller clockwise offset from ref than b."""
-    ca = _cw_class(ref, a)
-    cb = _cw_class(ref, b)
-    if ca != cb:
-        return ca < cb
-    if ca in (0, 2):
-        return False
-    # Same open half turn: earlier means b is clockwise of a.
-    return _cross(a, b) < 0
-
-
-def _cw_within_open(start: Vec, x: Vec, end: Vec) -> bool:
-    """True iff x lies strictly inside the clockwise open interval (start, end)."""
-    if _cw_class(start, x) == 0:
-        return False
-    return _cw_before(start, x, end)
+    return (
+        start[0] * x[1] - start[1] * x[0] < 0 and x[0] * end[1] - x[1] * end[0] < 0
+    )
 
 
 @dataclass(frozen=True)
@@ -157,7 +126,7 @@ def initial_halving_line(ps: PointSet) -> OrientedLine:
     max_tries = n * (n - 1) // 2 + 1
     for k in range(max_tries + 1):
         d = (1, k)
-        keys = [_cross(d, (p.x, p.y)) for p in ps]
+        keys = [p.y - k * p.x for p in ps]  # cross(d, p)
         if len(set(keys)) != n:
             continue
         order = sorted(range(n), key=keys.__getitem__)
@@ -265,6 +234,7 @@ def sweep_states(
     start_part = side_partition(start, ps)
     _check_sizes(start_part, n)
     d_ref = start.direction
+    d_opp = (-d_ref[0], -d_ref[1])
     line, part, entering = start, start_part, d_ref
     t_ev, partner = _next_alignment(ps, start.pivot, d_ref)
     index = 0  # of `line` among the intermediate states
@@ -273,12 +243,13 @@ def sweep_states(
     while True:
         if index > cap:
             raise AssertionError("sweep failed to terminate")
-        # `line` spans the clockwise open interval (entering, t_ev).
-        if _cw_within_open(entering, _neg(d_ref), t_ev):
+        # `line` spans the clockwise open interval (entering, t_ev), and
+        # cross(entering, t_ev) < 0 as `_strictly_between` requires.
+        if _strictly_between(entering, d_opp, t_ev):
             if opposite is not None:
                 raise AssertionError("half-turn direction passed twice")
             opposite = index
-        if _cw_within_open(entering, d_ref, t_ev):
+        if _strictly_between(entering, d_ref, t_ev):
             break
         yield line, part
         event = OrientedLine(EVENT, line.pivot, t_ev, partner=partner)
@@ -357,22 +328,3 @@ def _check_swap(cur: SidePartition, nxt: SidePartition, v_old: int, v_new: int) 
     swap_right = nxt.left == cur.left and nxt.right == (cur.right - {v_old}) | {v_new}
     if swap_left == swap_right:
         raise AssertionError("event update dichotomy violated")
-
-
-def line_crosses_triangle(
-    line: OrientedLine, tri: Iterable[int], ps: PointSet
-) -> bool:
-    """True iff the line strictly separates the triangle's vertices.
-
-    A vertex lying on the line (pivot or event partner) counts for
-    neither side, so touching without separating is not a crossing.
-    """
-    v = ps[line.pivot]
-    has_left = has_right = False
-    for i in tri:
-        s = _cross(line.direction, _vec(v, ps[i]))
-        if s > 0:
-            has_left = True
-        elif s < 0:
-            has_right = True
-    return has_left and has_right

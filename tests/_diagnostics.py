@@ -17,7 +17,6 @@ from planetree.rotation import (
     RotationSequence,
     _add,
     _next_alignment,
-    line_crosses_triangle,
 )
 from planetree.triangles import _empty_triples
 
@@ -34,6 +33,29 @@ def next_event(line: OrientedLine, ps: PointSet) -> tuple[OrientedLine, Oriented
         INTERMEDIATE, partner, _add(t_ev, t_after), brackets=(t_ev, t_after)
     )
     return event, inter
+
+
+def line_crosses_triangle(
+    line: OrientedLine, tri: Iterable[int], ps: PointSet
+) -> bool:
+    """True iff the line strictly separates the triangle's vertices.
+
+    The sign-based reference for the crossing lemma: one cross product
+    per vertex, independent of the stored sides that `case2_walk` reads.
+    A vertex lying on the line (pivot or event partner) counts for
+    neither side, so touching without separating is not a crossing.
+    """
+    v = ps[line.pivot]
+    dx, dy = line.direction
+    has_left = has_right = False
+    for i in tri:
+        p = ps[i]
+        s = dx * (p.y - v.y) - dy * (p.x - v.x)
+        if s > 0:
+            has_left = True
+        elif s < 0:
+            has_right = True
+    return has_left and has_right
 
 
 def triangle_crossing_witness(

@@ -13,7 +13,11 @@ from contextlib import contextmanager
 from itertools import combinations
 from pathlib import Path
 
-from _diagnostics import relative_equals_global_empty, triangle_crossing_witness
+from _diagnostics import (
+    line_crosses_triangle,
+    relative_equals_global_empty,
+    triangle_crossing_witness,
+)
 
 import planetree
 from planetree.builder import build_plane_tree
@@ -25,7 +29,7 @@ from planetree.generators import (
 )
 from planetree.graphs import PlaneTree, certify_plane_spanning_tree, complete_graph
 from planetree.oracle import ABSENT, FOUND, has_plane_spanning_tree
-from planetree.rotation import full_rotation, line_crosses_triangle
+from planetree.rotation import full_rotation
 from planetree.triangles import disconnected_empty_triangles, enumerate_empty_triangles
 
 

@@ -5,13 +5,16 @@ at the first one whose closed sides both pass; only a case-2 tag runs
 the whole turn.  The reference below is the earlier scan, kept here
 only as a test oracle: it stores the whole turn with `full_rotation`,
 scans it for the first qualifying state and tags that state from the
-stored sequence, matching the case-2 event by identity.  Both must pick
-the same state with the same tag.
+stored sequence, matching the case-2 event by identity.  Its case-2
+walk tests each crossing with `_diagnostics.line_crosses_triangle`, one
+cross sign per vertex, where `case2_walk` reads the stored sides.  Both
+must pick the same state with the same tag.
 """
 
 import random
 
 import pytest
+from _diagnostics import line_crosses_triangle
 from test_sweep_kernel import kernel_point_sets
 
 import planetree.builder as builder
@@ -61,12 +64,40 @@ def reference_tag(g, seq, winner, witnesses):
         return CASE4
     if not low_left and low_right:
         return CASE3
-    walk = case2_walk(g, seq, witnesses)
+    walk = reference_case2_walk(seq, witnesses)
     if walk is not None:
         subcase, event_idx, _ = walk
         if winner.kind == EVENT and seq.events[event_idx] is winner:
             return subcase
     return FALLBACK
+
+
+def reference_case2_walk(seq, witnesses):
+    """`case2_walk` with the crossing test recomputed from signs."""
+    if not witnesses:
+        return None
+    parts = seq.intermediate_partitions
+    first_cross = next(
+        (
+            idx
+            for idx, line in enumerate(seq.intermediates)
+            if any(line_crosses_triangle(line, t, seq.ps) for t in witnesses)
+        ),
+        None,
+    )
+    if first_cross is None or first_cross == 0:
+        return None
+    before = first_cross - 1
+    on_before = seq.intermediates[before].pivot
+    came_from_right = seq.intermediates[first_cross].pivot in parts[before].right
+    if came_from_right:
+        subcase, target = CASE2_1, parts[before].left - {on_before}
+    else:
+        subcase, target = CASE2_2, parts[before].right - {on_before}
+    for t in range(first_cross + 1, len(seq.intermediates)):
+        if seq.intermediates[t].pivot in target:
+            return subcase, t - 1, before
+    return None
 
 
 def lazy_split(g, monkeypatch):
@@ -137,3 +168,15 @@ def test_lazy_scan_picks_the_reference_winner(monkeypatch):
         tags.add(tag)
     assert tags == {CASE1, CASE2_1, CASE2_2, CASE3, CASE4, FALLBACK}
 
+
+
+def test_case2_walk_matches_the_sign_based_walk():
+    found = set()
+    for g in _graphs():
+        witnesses = disconnected_empty_triangles(g).witnesses
+        seq = full_rotation(g.ps)
+        walk = case2_walk(g, seq, witnesses)
+        assert walk == reference_case2_walk(seq, witnesses)
+        if walk is not None:
+            found.add(walk[0])
+    assert found == {CASE2_1, CASE2_2}

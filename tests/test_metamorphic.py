@@ -1,0 +1,94 @@
+"""Exact symmetries of the plane, applied to whole instances.
+
+An integer translation keeps every cross product of point differences,
+and it shifts every start-line key `p.y - k * p.x` by one constant, so
+the sweep, the tree and the trace stay exactly the same.  A 90°
+rotation, the mirror (x, y) -> (-x, y) and the shear (x + y, y) are
+integer maps of determinant +-1: each keeps every orientation sign or
+flips all of them.  They may move the start line, and with it the
+tree, so only what the geometry alone decides is compared: the empty
+triangles, the disconnected witnesses, the flags and whether a
+certified tree comes back.  Every image stays inside `COORD_LIMIT`.
+"""
+
+import pytest
+
+from planetree.builder import build_plane_tree
+from planetree.generators import path_complement, r_construction, random_instance
+from planetree.geometry import COORD_LIMIT, Point, PointSet
+from planetree.graphs import GeometricGraph, PlaneTree, certify_plane_spanning_tree
+from planetree.rotation import full_rotation
+from planetree.triangles import disconnected_empty_triangles, enumerate_empty_triangles
+
+
+def _instances():
+    for t in range(30):
+        yield random_instance(5 + t % 12, seed=70_001 + t).graph
+    for n in (24, 32, 40):
+        yield random_instance(n, seed=70_101 + n).graph
+    for n in range(5, 21, 3):
+        yield r_construction(n)[1].graph
+    for n in range(5, 10):
+        yield path_complement(n).graph
+
+
+def _mapped(g, f):
+    ps = PointSet(tuple(Point(*f(p.x, p.y)) for p in g.ps))
+    assert all(abs(c) <= COORD_LIMIT for p in ps for c in (p.x, p.y))
+    return GeometricGraph(ps, g.edges)
+
+
+def _translations(g):
+    xs = [p.x for p in g.ps]
+    ys = [p.y for p in g.ps]
+    # A small shift, and one that pushes the set into a corner of the
+    # coordinate box.
+    yield 37, -11
+    yield COORD_LIMIT - max(xs), -COORD_LIMIT - min(ys)
+
+
+def test_integer_translations_keep_the_sweep_and_the_build_byte_identical():
+    checked = 0
+    for g in _instances():
+        text = build_plane_tree(g).to_text()
+        states = list(full_rotation(g.ps).states())
+        for tx, ty in _translations(g):
+            image = _mapped(g, lambda x, y: (x + tx, y + ty))
+            assert build_plane_tree(image).to_text() == text
+            assert list(full_rotation(image.ps).states()) == states
+            checked += 1
+    assert checked > 80
+
+
+MAPS = {
+    "rotate90": lambda x, y: (-y, x),
+    "mirror": lambda x, y: (-x, y),
+    "shear": lambda x, y: (x + y, y),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MAPS))
+def test_orientation_maps_keep_triangles_witnesses_flags_and_certifiability(name):
+    f = MAPS[name]
+    trees = 0
+    violated = 0
+    for g in _instances():
+        image = _mapped(g, f)
+        assert enumerate_empty_triangles(image.ps) == enumerate_empty_triangles(g.ps)
+        assert (
+            disconnected_empty_triangles(image).witnesses
+            == disconnected_empty_triangles(g).witnesses
+        )
+        report = build_plane_tree(g)
+        image_report = build_plane_tree(image)
+        assert image_report.flags() == report.flags()
+        assert (image_report.tree is None) == (report.tree is None)
+        if report.tree is not None:
+            # A tree of g, drawn on the image, is still plane and spanning.
+            assert isinstance(
+                certify_plane_spanning_tree(image, report.tree.tree_edges), PlaneTree
+            )
+            trees += 1
+        violated += report.precondition_violated
+    assert trees > 30
+    assert violated >= 5

@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from _diagnostics import next_event, triangle_crossing_witness
+from _diagnostics import line_crosses_triangle, next_event, triangle_crossing_witness
 
 import planetree
 from planetree.generators import convex_position_points, random_point_set
@@ -16,7 +16,6 @@ from planetree.rotation import (
     INTERMEDIATE,
     full_rotation,
     initial_halving_line,
-    line_crosses_triangle,
     side_partition,
 )
 

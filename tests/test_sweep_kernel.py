@@ -6,7 +6,10 @@ reference below is the earlier form of both, kept here only as a test
 oracle: every point competes with both of its rays, each ray is placed
 by a coarse clockwise class from cross and dot signs, and rays in one
 class are ordered by a further cross sign.  A reference sweep built from
-it must give the same states as `full_rotation`, state for state.
+it must give the same states as `full_rotation`, state for state, and
+its interval test `_cw_within_open` must agree with the sweep's
+two-sign `rotation._strictly_between` wherever the latter's
+precondition holds.
 """
 
 import random
@@ -24,6 +27,7 @@ from planetree.rotation import (
     INTERMEDIATE,
     OrientedLine,
     _next_alignment,
+    _strictly_between,
     full_rotation,
     initial_halving_line,
     side_partition,
@@ -247,3 +251,36 @@ def test_side_partition_matches_the_reference_on_sweep_lines():
             ):
                 continue
             assert _sides(side_partition(line, ps)) == reference_side_partition(line, ps)
+
+
+def test_strictly_between_meets_its_precondition_and_matches_the_reference():
+    # Every interval (entering, t_ev) that `sweep_states` tests, the wrap
+    # state's included, spans less than a half turn; on such intervals
+    # the two-sign helper agrees with the class-based reference for the
+    # start direction, every event direction and their reverses.
+    intervals = 0
+    inside = 0
+    for ps in kernel_point_sets():
+        seq = full_rotation(ps)
+        start = seq.intermediates[0]
+        d_ref = start.direction
+        event_dirs = [event.direction for event in seq.events]
+        t_wrap, _ = _next_alignment(ps, start.pivot, event_dirs[-1])
+        entering = [d_ref] + event_dirs
+        leaving = event_dirs + [t_wrap]
+        for inter, bounds in zip(seq.intermediates[1:], zip(entering[1:], leaving[1:])):
+            assert inter.brackets == bounds
+        probes = {d_ref, _neg(d_ref)} | set(event_dirs) | {_neg(d) for d in event_dirs}
+        for lo, hi in zip(entering, leaving):
+            assert _cross(lo, hi) < 0
+            for x in probes:
+                assert _strictly_between(lo, x, hi) == _cw_within_open(lo, x, hi)
+                inside += _cw_within_open(lo, x, hi)
+            intervals += 1
+        spans = list(enumerate(zip(entering, leaving)))
+        half = [i for i, (lo, hi) in spans if _strictly_between(lo, _neg(d_ref), hi)]
+        full = [i for i, (lo, hi) in spans if _strictly_between(lo, d_ref, hi)]
+        assert half == [seq.opposite_index]
+        assert full == [len(spans) - 1]
+    assert intervals > 3000
+    assert inside > 500
