@@ -26,7 +26,12 @@ from .geometry import (
     point_in_triangle,
 )
 from .graphs import GeometricGraph, complete_graph, is_crossing_free
-from .triangles import disconnected_empty_triangles, enumerate_empty_triangles
+from .triangles import (
+    _below_tables,
+    _empty_candidates,
+    _empty_triples,
+    disconnected_empty_triangles,
+)
 
 DEFAULT_SCALE = 10**6
 RANDOM_BOX = 10**6
@@ -178,7 +183,10 @@ def random_instance(n: int, seed: int, mode: str = "budgeted") -> Instance:
 
     # Induced-edge count of each empty triangle, by its position in
     # `empties`; deleting an edge disconnects the triangles at count 2.
-    empties = enumerate_empty_triangles(ps)
+    # The closing check recounts from the same tables by the candidate
+    # test, so it cross-checks the enumeration too.
+    tables = _below_tables(ps)
+    empties = _empty_triples(tables)
     induced = [3] * len(empties)  # complete graph: every pair present
     by_edge: dict[tuple[int, int], list[int]] = {}
     for t, (u, v, w) in enumerate(empties):
@@ -202,7 +210,7 @@ def random_instance(n: int, seed: int, mode: str = "budgeted") -> Instance:
         del edges[bisect_left(edges, e)]
 
     result = GeometricGraph(ps, frozenset(edges))
-    check = disconnected_empty_triangles(result).count
+    check = len(_empty_candidates(tables, result.edges))
     if check != disconnected or check > budget:
         raise GenerationError("incremental disconnected count drifted")
     return Instance(result, "random_budgeted", seed=seed)

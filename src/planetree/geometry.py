@@ -37,6 +37,15 @@ BOUNDARY = "boundary"
 OUTSIDE = "outside"
 
 
+def is_integer(value: object) -> bool:
+    """True for an exact int: what a coordinate or an index must be.
+
+    A bool (an int subclass), a float or a string is refused, never
+    converted: a truncated coordinate would be a different point set.
+    """
+    return type(value) is int
+
+
 class GeneralPositionError(ValueError):
     """A point collection has a duplicate point or a collinear triple."""
 
@@ -164,6 +173,8 @@ class PointSet:
 
     def __post_init__(self) -> None:
         for i, p in enumerate(self.points):
+            if not (is_integer(p.x) and is_integer(p.y)):
+                raise ValueError(f"point {i} = ({p.x!r}, {p.y!r}) has a non-integer coordinate")
             if abs(p.x) > COORD_LIMIT or abs(p.y) > COORD_LIMIT:
                 raise ValueError(
                     f"point {i} = ({p.x}, {p.y}) exceeds coordinate limit {COORD_LIMIT}"
@@ -180,7 +191,7 @@ class PointSet:
 
     @classmethod
     def from_coords(cls, coords: Iterable[Sequence[int]]) -> "PointSet":
-        return cls(tuple(Point(int(x), int(y)) for x, y in coords))
+        return cls(tuple(Point(x, y) for x, y in coords))
 
     def subset(self, indices: Sequence[int]) -> "PointSet":
         """The points at the distinct `indices`, in that order.

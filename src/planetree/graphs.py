@@ -31,6 +31,10 @@ class GeometricGraph:
 
     def __post_init__(self) -> None:
         n = len(self.ps)
+        for i, j in self.edges:
+            # `is_integer`, inlined: this runs for every edge of every graph.
+            if type(i) is not int or type(j) is not int:
+                raise ValueError(f"edge ({i!r}, {j!r}) has a non-integer index")
         canon = frozenset(canonical_edge(i, j) for i, j in self.edges)
         for i, j in canon:
             if not (0 <= i < n and 0 <= j < n):
@@ -58,7 +62,9 @@ def induced_subgraph(g: GeometricGraph, subset: Iterable[int]) -> GeometricGraph
     """Subgraph on `subset` with exactly the edges of g inside it.
 
     Local index k corresponds to parent index parent_map[k]; the subset
-    is sorted, so the mapping is deterministic.
+    is sorted, so the mapping is deterministic.  Like `PointSet.subset`,
+    the result is not validated again: g's edges are integer, canonical
+    and in range, and re-indexing by the increasing `local` keeps them so.
     """
     order = sorted(set(subset))
     if not order:
@@ -68,7 +74,12 @@ def induced_subgraph(g: GeometricGraph, subset: Iterable[int]) -> GeometricGraph
     sub_edges = frozenset(
         (local[i], local[j]) for i, j in g.edges if i in local and j in local
     )
-    return GeometricGraph(sub_ps, sub_edges, parent=g, parent_map=tuple(order))
+    sub = object.__new__(GeometricGraph)
+    for name, value in (
+        ("ps", sub_ps), ("edges", sub_edges), ("parent", g), ("parent_map", tuple(order))
+    ):
+        object.__setattr__(sub, name, value)
+    return sub
 
 
 def triple_connected(g: GeometricGraph, u: int, v: int, w: int) -> bool:
@@ -154,9 +165,11 @@ def certify_plane_spanning_tree(
 
     Four independent conditions, reported in this order: subgraph,
     edge count n-1, connectivity over all vertices, crossing-freedom
-    (with a witness pair on failure).  Returns a verdict, never raises.
+    (with a witness pair on failure).  Returns a verdict, never raises:
+    a self-loop is kept as (i, i), which no graph has, so it fails as
+    not-subgraph.
     """
-    t = frozenset(canonical_edge(i, j) for i, j in tree_edges)
+    t = frozenset((i, j) if i < j else (j, i) for i, j in tree_edges)
     if not t <= g.edges:
         return Rejection("not-subgraph")
     if len(t) != g.n - 1:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .geometry import PointSet
+from .geometry import PointSet, is_integer
 from .graphs import GeometricGraph, canonical_edge
 
 
@@ -20,8 +20,7 @@ class InstanceFormatError(ValueError):
 
 
 def _as_int(value: Any, where: str) -> int:
-    # bool is an int subclass; reject it along with floats and strings.
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not is_integer(value):
         raise InstanceFormatError(f"{where}: expected an integer, got {value!r}")
     return value
 

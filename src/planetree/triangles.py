@@ -13,9 +13,9 @@ up front from per-point angular orders, in O(n^2 log n).  Enumerating
 all empty triangles then tests every triple, O(n^3) in all; the
 disconnected count tests only the triples that induce at most one
 edge.  On a half-plane subset it can instead filter the parent's
-witnesses, which needs no emptiness test at all.  Both are cached per
-point set (and edge set), so a repeated build is warm.  The O(n^4) scan
-of every triple against every point is kept in the tests as the
+witnesses, which needs no emptiness test at all.  Each public call
+builds the counts it reads and keeps nothing afterwards.  The O(n^4)
+scan of every triple against every point is kept in the tests as the
 independent reference.
 """
 
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from functools import cmp_to_key, lru_cache
+from functools import cmp_to_key
 from itertools import combinations
 from typing import Iterable
 
@@ -31,6 +31,8 @@ from .geometry import PointSet
 from .graphs import Edge, GeometricGraph
 
 Triple = tuple[int, int, int]
+# order, pos and below of `_below_tables`.
+Tables = tuple[list[int], list[list[int]], list[list[int]]]
 
 
 def enumerate_empty_triangles(ps: PointSet) -> list[Triple]:
@@ -41,64 +43,56 @@ def enumerate_empty_triangles(ps: PointSet) -> list[Triple]:
     """
     if len(ps) < 3:
         raise ValueError("need at least 3 points")
-    return list(_empty_triples(ps))
+    return _empty_triples(_below_tables(ps))
 
 
-@lru_cache(maxsize=4096)
-def _empty_triples(
-    ps: PointSet, edges: frozenset[Edge] | None = None
-) -> tuple[Triple, ...]:
-    """Sorted empty triples of ps; with `edges`, only those inducing <= 1.
+def _empty_triples(tables: Tables) -> list[Triple]:
+    """Sorted empty triples of the point set that `tables` describes.
 
-    Each triple is tested in O(1) from per-pair counts.  Points are ranked
-    by (x, y), a symbolic shear of the x order that keeps every
-    orientation.  For ranks a < b, below(a, b) counts the points ranked
-    strictly between them that lie strictly right of a -> b.  A triple
-    a < b < c is empty iff
+    Each triple is tested in O(1) from the per-pair counts of
+    `_below_tables`.  For ranks a < b, below(a, b) counts the points
+    ranked strictly between them that lie strictly right of a -> b.  A
+    triple a < b < c is empty iff
 
         below(a, c) == below(a, b) + below(b, c) + [b right of a -> c],
 
     because the points inside are below(a,b) + below(b,c) - below(a,c)
     when b is left of a -> c, and below(a,c) - below(a,b) - below(b,c) - 1
-    (b itself is below ac) when it is right.  Both the full enumeration
-    and the candidates read the counts from `_below_tables`.
+    (b itself is below ac) when it is right.  `_empty_candidates` applies
+    the same identity to fewer triples.
     """
-    order, pos, below = _below_tables(ps)
-    if edges is None:
-        found = (
-            tuple(sorted((order[a], order[b], order[c])))
-            for a, b, c in _all_empty(pos, below)
-        )
-        return tuple(sorted(found))
-    rank = [0] * len(ps)
-    for r, i in enumerate(order):
-        rank[i] = r
-    empty = []
-    for t in _candidates(len(ps), edges):
-        a, b, c = sorted((rank[t[0]], rank[t[1]], rank[t[2]]))
-        if below[a][c] == below[a][b] + below[b][c] + (pos[a][b] < pos[a][c]):
-            empty.append(t)
-    return tuple(empty)
-
-
-def _all_empty(pos: list[list[int]], below: list[list[int]]) -> list[Triple]:
-    """Empty triples a < b < c, as ranks, from `_below_tables`."""
-    n = len(pos)
-    empty = []
+    order, pos, below = tables
+    n = len(order)
+    found = []
     for a in range(n - 2):
         pa, ba = pos[a], below[a]
         for b in range(a + 1, n - 1):
             pab, bab, bb = pa[b], ba[b], below[b]
             for c in range(b + 1, n):
                 if ba[c] == bab + bb[c] + (pab < pa[c]):
-                    empty.append((a, b, c))
+                    found.append(tuple(sorted((order[a], order[b], order[c]))))
+    found.sort()
+    return found
+
+
+def _empty_candidates(tables: Tables, edges: frozenset[Edge]) -> list[Triple]:
+    """Sorted empty triples that induce at most one of `edges`.
+
+    Tests only `_candidates`, by the identity of `_empty_triples`.
+    """
+    order, pos, below = tables
+    rank = [0] * len(order)
+    for r, i in enumerate(order):
+        rank[i] = r
+    empty = []
+    for t in _candidates(len(order), edges):
+        a, b, c = sorted((rank[t[0]], rank[t[1]], rank[t[2]]))
+        if below[a][c] == below[a][b] + below[b][c] + (pos[a][b] < pos[a][c]):
+            empty.append(t)
     return empty
 
 
-@lru_cache(maxsize=8)
-def _below_tables(
-    ps: PointSet,
-) -> tuple[list[int], list[list[int]], list[list[int]]]:
+def _below_tables(ps: PointSet) -> Tables:
     """order, pos[a][c] and below[a][b] for ps ranked by (x, y), ranks a < b, c.
 
     order[r] is the index in ps of the point of rank r.  Every point
@@ -108,8 +102,8 @@ def _below_tables(
     a -> c iff pos[a][b] < pos[a][c], and below[a][b] counts the c
     between a and b with pos[a][c] < pos[a][b], filled by bisect
     insertion in rank order.  Entries at or before the diagonal are 0.
-    Cached for a few point sets, so that counting candidates after a full
-    enumeration (the generator's closing check) builds no second table.
+    The (x, y) order is a symbolic shear of the x order that keeps every
+    orientation.
     """
     n = len(ps)
     order = sorted(range(n), key=ps.__getitem__)
@@ -160,7 +154,7 @@ def disconnected_empty_triangles(
     On any other subset the result may be wrong.
     """
     if inherited is None:
-        witnesses = _empty_triples(g.ps, g.edges)
+        witnesses = tuple(_empty_candidates(_below_tables(g.ps), g.edges))
     elif g.parent_map is None:
         raise ValueError("inherited witnesses need an induced subgraph")
     else:

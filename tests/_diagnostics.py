@@ -18,7 +18,7 @@ from planetree.rotation import (
     _add,
     _next_alignment,
 )
-from planetree.triangles import _empty_triples
+from planetree.triangles import enumerate_empty_triangles
 
 
 def next_event(line: OrientedLine, ps: PointSet) -> tuple[OrientedLine, OrientedLine]:
@@ -101,9 +101,11 @@ def relative_equals_global_empty(parent: PointSet, subset: Iterable[int]) -> boo
     False.
     """
     order = sorted(set(subset))
+    if len(order) < 3:
+        return True  # no triangle at all
     sub = parent.subset(order)
     outside = [parent[i] for i in range(len(parent)) if i not in set(order)]
-    for li, lj, lk in _empty_triples(sub):
+    for li, lj, lk in enumerate_empty_triangles(sub):
         a, b, c = sub[li], sub[lj], sub[lk]
         for p in outside:
             if point_in_triangle(p, a, b, c) == INTERIOR:

@@ -196,6 +196,14 @@ def test_check_crossing_reports_witness(tmp_path, capsys):
     assert "witness=" in stdout
 
 
+def test_check_rejects_a_self_loop_like_an_edge_outside_the_graph(tmp_path, capsys):
+    out = tmp_path / "t4c.json"
+    dump_instance(path_complement(4).graph, str(out))
+    for candidate in ("[[1, 1]]", "[[0, 99]]"):
+        code, stdout, _ = run(capsys, "check", str(out), candidate)
+        assert (code, stdout) == (3, "rejected reason=not-subgraph\n")
+
+
 def test_check_tree_from_file(tmp_path, capsys):
     out = tmp_path / "c5.json"
     run(capsys, "gen", "complete", "5", "--seed", "1", "--out", str(out))

@@ -2,6 +2,7 @@ import hashlib
 
 import pytest
 
+from planetree import generators
 from planetree.generators import (
     GenerationError,
     convex_position_points,
@@ -107,6 +108,18 @@ def test_budgeted_instances_respect_budget_across_sizes():
     for n in range(5, 13):
         inst = random_instance(n, seed=n * 31, mode="budgeted")
         assert disconnected_empty_triangles(inst.graph).count <= n - 3
+
+
+def test_budgeted_generation_fails_when_the_closing_recount_drifts(monkeypatch):
+    random_instance(12, seed=3)  # passes its own check unpatched
+    recount = generators._empty_candidates
+
+    def one_triple_more(tables, edges):
+        return [*recount(tables, edges), (0, 1, 2)]
+
+    monkeypatch.setattr(generators, "_empty_candidates", one_triple_more)
+    with pytest.raises(GenerationError, match="incremental disconnected count drifted"):
+        random_instance(12, seed=3)
 
 
 def test_random_point_set_general_position():

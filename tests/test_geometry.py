@@ -108,6 +108,24 @@ def test_pointset_rejects_bad_configurations():
         PointSet.from_coords([(COORD_LIMIT + 1, 0), (1, 0), (0, 1)])
 
 
+@pytest.mark.parametrize(
+    "coords, detail",
+    [
+        # from_coords used to truncate this to (0, 0), (3, 0), (0, 2).
+        ([(0.9, 0), (3, 0.5), (0, 2)], "point 0 = (0.9, 0)"),
+        ([(0, 0), (3, 1), (0, 2.0)], "point 2 = (0, 2.0)"),
+        ([(0, 0), (True, 3), (0, 2)], "point 1 = (True, 3)"),
+        ([(0, 0), (3, 1), ("0", 2)], "point 2 = ('0', 2)"),
+    ],
+)
+def test_pointset_rejects_a_non_integer_coordinate(coords, detail):
+    with pytest.raises(ValueError, match="non-integer coordinate") as err:
+        PointSet.from_coords(coords)
+    assert detail in str(err.value)
+    with pytest.raises(ValueError, match="non-integer coordinate"):
+        PointSet(tuple(Point(x, y) for x, y in coords))
+
+
 def test_convex_position_examples():
     square = PointSet.from_coords([(0, 0), (4, 0), (4, 4), (0, 4)])
     assert in_convex_position(square)

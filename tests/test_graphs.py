@@ -28,6 +28,14 @@ def test_edges_canonicalized():
     assert g.edges == frozenset({(0, 2), (1, 3)})
 
 
+@pytest.mark.parametrize("edge", [(0.0, 1), (0, 1.0), (True, 2), (0, "1")])
+def test_graph_rejects_a_non_integer_index(edge):
+    ps = convex_position_points(4)
+    with pytest.raises(ValueError, match="non-integer index") as err:
+        GeometricGraph(ps, frozenset({(2, 3), edge}))
+    assert repr(edge) in str(err.value)
+
+
 def test_self_loop_rejected():
     ps = convex_position_points(4)
     with pytest.raises(ValueError):
@@ -56,6 +64,23 @@ def test_induced_subgraph_full_subset_is_same_graph():
     sub = induced_subgraph(g, range(6))
     assert sub.edges == g.edges
     assert sub.ps == g.ps
+
+
+def test_induced_subgraph_equals_a_validated_graph():
+    # induced_subgraph skips __post_init__; its result must be what
+    # validation would have built.
+    rng = random.Random(11)
+    ps = random_point_set(12, rng)
+    edges = frozenset(e for e in combinations(range(12), 2) if rng.random() < 0.5)
+    g = GeometricGraph(ps, edges)
+    for _ in range(20):
+        order = sorted(rng.sample(range(12), rng.randint(1, 12)))
+        sub = induced_subgraph(g, reversed(order))
+        inside = {(order.index(i), order.index(j)) for i, j in edges if {i, j} <= set(order)}
+        fresh = GeometricGraph(ps.subset(order), frozenset(inside))
+        assert sub == fresh and hash(sub) == hash(fresh)
+        assert all(i < j for i, j in sub.edges)
+        assert (sub.parent, sub.parent_map) == (g, tuple(order))
 
 
 def test_induced_subgraph_invalid_index():
@@ -106,6 +131,13 @@ def test_certify_rejections():
     sparse = GeometricGraph(ps, frozenset({(0, 1)}))
     outside = certify_plane_spanning_tree(sparse, [(0, 1), (1, 2), (2, 3)])
     assert isinstance(outside, Rejection) and outside.reason == "not-subgraph"
+
+
+def test_certify_reports_a_self_loop_as_not_subgraph():
+    g = complete_graph(convex_position_points(4))
+    for tree in ([(1, 1)], [(0, 1), (2, 2), (2, 3)]):
+        verdict = certify_plane_spanning_tree(g, tree)
+        assert isinstance(verdict, Rejection) and verdict.reason == "not-subgraph"
 
 
 def test_certify_disconnected_cycle_plus_isolated():

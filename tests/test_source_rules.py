@@ -48,3 +48,38 @@ def test_every_private_module_level_definition_is_used_in_the_package():
         and refs[node.name] == Counter(_referenced_names(node))[node.name]
     ]
     assert unused == []
+
+
+MEMOISERS = {"lru_cache", "cache", "cached_property"}
+
+
+def _decorator_name(node):
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return getattr(node, "id", None)
+
+
+def test_no_module_of_the_package_memoises():
+    # Each fact is computed once per call and passed down; a process-wide
+    # cache would make a build's cost depend on what ran before it.
+    found = []
+    for path in sorted(Path(planetree.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                hits = [a.name for a in node.names if a.name in MEMOISERS]
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "functools"
+            ):
+                hits = [node.attr] if node.attr in MEMOISERS else []
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = (_decorator_name(d) for d in node.decorator_list)
+                hits = [name for name in names if name in MEMOISERS]
+            else:
+                hits = []
+            found += [f"{path.name}:{node.lineno} {name}" for name in hits]
+    assert found == []
