@@ -27,9 +27,9 @@ from .geometry import (
 )
 from .graphs import GeometricGraph, complete_graph, is_crossing_free
 from .triangles import (
+    _all_empty,
     _below_tables,
     _empty_candidates,
-    _empty_triples,
     disconnected_empty_triangles,
 )
 
@@ -186,7 +186,7 @@ def random_instance(n: int, seed: int, mode: str = "budgeted") -> Instance:
     # The closing check recounts from the same tables by the candidate
     # test, so it cross-checks the enumeration too.
     tables = _below_tables(ps)
-    empties = _empty_triples(tables)
+    empties = _all_empty(tables)
     induced = [3] * len(empties)  # complete graph: every pair present
     by_edge: dict[tuple[int, int], list[int]] = {}
     for t, (u, v, w) in enumerate(empties):

@@ -13,17 +13,19 @@ up front from per-point angular orders, in O(n^2 log n).  Enumerating
 all empty triangles then tests every triple, O(n^3) in all; the
 disconnected count tests only the triples that induce at most one
 edge.  On a half-plane subset it can instead filter the parent's
-witnesses, which needs no emptiness test at all.  Each public call
-builds the counts it reads and keeps nothing afterwards.  The O(n^4)
-scan of every triple against every point is kept in the tests as the
-independent reference.
+witnesses, which needs no emptiness test at all.  Each call builds the
+counts it reads and passes them down.  One result is memoised: the
+root count, per point set and edge set (`_empty_triples`), so a
+repeated build of the same graph is warm.  The O(n^4) scan of every
+triple against every point is kept in the tests as the independent
+reference.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from functools import cmp_to_key
+from functools import cmp_to_key, lru_cache
 from itertools import combinations
 from typing import Iterable
 
@@ -39,14 +41,14 @@ def enumerate_empty_triangles(ps: PointSet) -> list[Triple]:
     """All empty triangles of ps, sorted lexicographically.
 
     O(n^3): each triple is tested in O(1) from per-pair below-segment
-    counts (see `_empty_triples`).
+    counts (see `_all_empty`).
     """
     if len(ps) < 3:
         raise ValueError("need at least 3 points")
-    return _empty_triples(_below_tables(ps))
+    return _all_empty(_below_tables(ps))
 
 
-def _empty_triples(tables: Tables) -> list[Triple]:
+def _all_empty(tables: Tables) -> list[Triple]:
     """Sorted empty triples of the point set that `tables` describes.
 
     Each triple is tested in O(1) from the per-pair counts of
@@ -78,7 +80,7 @@ def _empty_triples(tables: Tables) -> list[Triple]:
 def _empty_candidates(tables: Tables, edges: frozenset[Edge]) -> list[Triple]:
     """Sorted empty triples that induce at most one of `edges`.
 
-    Tests only `_candidates`, by the identity of `_empty_triples`.
+    Tests only `_candidates`, by the identity of `_all_empty`.
     """
     order, pos, below = tables
     rank = [0] * len(order)
@@ -90,6 +92,17 @@ def _empty_candidates(tables: Tables, edges: frozenset[Edge]) -> list[Triple]:
         if below[a][c] == below[a][b] + below[b][c] + (pos[a][b] < pos[a][c]):
             empty.append(t)
     return empty
+
+
+@lru_cache(maxsize=4096)
+def _empty_triples(ps: PointSet, edges: frozenset[Edge]) -> tuple[Triple, ...]:
+    """`_empty_candidates` of ps and edges, memoised per point set and edge set.
+
+    The one cache of the package: the builder's root count, so that a
+    repeated build of the same graph reads it instead of testing again.
+    `perfbench` clears it before every timed build.
+    """
+    return tuple(_empty_candidates(_below_tables(ps), edges))
 
 
 def _below_tables(ps: PointSet) -> Tables:
@@ -154,7 +167,7 @@ def disconnected_empty_triangles(
     On any other subset the result may be wrong.
     """
     if inherited is None:
-        witnesses = tuple(_empty_candidates(_below_tables(g.ps), g.edges))
+        witnesses = _empty_triples(g.ps, g.edges)
     elif g.parent_map is None:
         raise ValueError("inherited witnesses need an induced subgraph")
     else:
