@@ -5,9 +5,9 @@ contain a crossing-free spanning tree as soon as the number of its
 empty triangles inducing at most one edge stays below the point count
 minus two.  This package makes that guarantee executable: exact integer
 predicates, the rotating-line sweep that produces balanced split lines,
-a recursive builder with a certifying checker, an exhaustive oracle,
-and generators for the tight instance families on either side of the
-threshold.
+a recursive builder with a certifying checker, an exhaustive oracle, an
+O(n^3) decision for points in convex position, and generators for the
+tight instance families on either side of the threshold.
 """
 
 from .geometry import (
@@ -18,6 +18,7 @@ from .geometry import (
     OUTSIDE,
     Point,
     PointSet,
+    hull_order,
     in_convex_position,
     in_general_position,
     orient,
@@ -59,6 +60,7 @@ from .builder import (
     find_valid_split,
     merge_side_trees,
 )
+from .convex import convex_tree_edges
 from .oracle import (
     ABSENT,
     BUDGET_EXCEEDED,

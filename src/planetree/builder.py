@@ -8,6 +8,12 @@ it visits; the rest of the turn is never computed.  Each side is solved
 recursively and the two side trees are merged across the split line.
 Sizes 3 and 4 go to the exhaustive oracle directly.
 
+When no split exists (the size condition fails) or a side has no tree,
+the level falls back to an exact decision on its whole graph.  Points
+in convex position, from 5 up, are decided by the O(n^3) interval
+recurrence in `convex`; all other fallbacks go to the oracle, whose
+search is exponential in the worst case.
+
 Levels pass plain edge sets to each other and certify nothing.  A build
 is certified once, at the root: `build_plane_tree` runs the certifier on
 the final tree and raises on a rejection, also under `python -O`.
@@ -25,6 +31,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable
 
+from .convex import convex_tree_edges
+from .geometry import in_convex_position
 from .graphs import (
     Edge,
     GeometricGraph,
@@ -252,7 +260,8 @@ def build_plane_tree(
 
     Whenever g has at most n-3 disconnected empty triangles a tree is
     guaranteed and found via recursive splitting; otherwise the report
-    carries precondition_violated and the exhaustive oracle decides.
+    carries precondition_violated and an exact fallback decides: the
+    interval recurrence for points in convex position, else the oracle.
     theorem_gap_fallback_used marks the impossible middle case (size
     condition met but no split found) and signals a bug.
     oracle_budget_exceeded means an oracle call ran out of budget: the
@@ -296,7 +305,7 @@ def _build(
         if len(witnesses) <= g.n - 3:
             report.theorem_gap_fallback_used = True
         report.trace.append((g.n, FALLBACK))
-        return _oracle_edges(g, budget)
+        return _fallback_edges(g, budget)
 
     report.trace.append((g.n, split.case_tag))
     g_left = induced_subgraph(g, split.left_indices)
@@ -310,7 +319,7 @@ def _build(
         # The sides were chosen to satisfy the size condition, so this
         # cannot happen unless something upstream is broken.
         report.theorem_gap_fallback_used = True
-        return _oracle_edges(g, budget)
+        return _fallback_edges(g, budget)
     return merge_side_trees(
         split, g_left.to_parent(left_edges), g_right.to_parent(right_edges)
     )
@@ -320,8 +329,25 @@ class _OracleBudgetSpent(Exception):
     """An oracle call ran out of budget, so the build has no verdict."""
 
 
+def _fallback_edges(g: GeometricGraph, budget: int) -> frozenset[Edge] | None:
+    """Tree edges of g (5 points or more) from an exact decision, or None
+    when g has none.
+
+    Points in convex position are decided in O(n^3) by `convex_tree_edges`,
+    which needs no budget; the rest go to the oracle.
+    """
+    if in_convex_position(g.ps):
+        return convex_tree_edges(g)
+    return _oracle_edges(g, budget)
+
+
 def _oracle_edges(g: GeometricGraph, budget: int) -> frozenset[Edge] | None:
-    """The oracle's tree edges, or None when g has none."""
+    """The oracle's tree edges, or None when g has none.
+
+    The oracle decides the base cases of 3 and 4 points and the fallbacks
+    on points not in convex position.  A spent budget raises
+    _OracleBudgetSpent.
+    """
     result = has_plane_spanning_tree(g, budget=budget)
     if result.status == BUDGET_EXCEEDED:
         raise _OracleBudgetSpent

@@ -222,23 +222,29 @@ class PointSet:
 
 def in_convex_position(ps: PointSet) -> bool:
     """True iff every point of ps is a vertex of the convex hull of ps."""
-    pts = sorted(ps.points)
-    if len(pts) <= 2:
-        return True
-    return len(_hull(pts)) == len(pts)
+    return len(hull_order(ps)) == len(ps)
 
 
-def _hull(sorted_pts: list[Point]) -> list[Point]:
-    # Andrew monotone chain; strict turns only, which is safe because the
-    # host PointSet forbids collinear triples.
-    def half(seq: Iterable[Point]) -> list[Point]:
-        chain: list[Point] = []
-        for p in seq:
-            while len(chain) >= 2 and orient(chain[-2], chain[-1], p) <= 0:
+def hull_order(ps: PointSet) -> tuple[int, ...]:
+    """Indices of the convex hull vertices of ps, counter-clockwise.
+
+    Andrew's monotone chain, from the lowest point in (x, y) order.  Only
+    strict turns are kept, which is safe because a PointSet has no
+    collinear triple.  With at most two points, every point is a vertex.
+    """
+    pts = ps.points
+    order = sorted(range(len(pts)), key=pts.__getitem__)
+    if len(order) <= 2:
+        return tuple(order)
+
+    def half(seq: Iterable[int]) -> list[int]:
+        chain: list[int] = []
+        for k in seq:
+            while len(chain) >= 2 and orient(pts[chain[-2]], pts[chain[-1]], pts[k]) <= 0:
                 chain.pop()
-            chain.append(p)
+            chain.append(k)
         return chain
 
-    lower = half(sorted_pts)
-    upper = half(reversed(sorted_pts))
-    return lower[:-1] + upper[:-1]
+    lower = half(order)
+    upper = half(reversed(order))
+    return tuple(lower[:-1] + upper[:-1])

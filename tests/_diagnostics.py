@@ -2,14 +2,19 @@
 
 They exercise single sweep steps, the triangle-crossing lemma behind the
 case-2 walk, and the half-plane emptiness lemma behind inherited
-witness counts.  The package itself never calls them.
+witness counts, and they draw random graphs on points in convex
+position.  The package itself never calls them.
 """
 
 from __future__ import annotations
 
+import random
+from itertools import combinations
 from typing import Iterable
 
-from planetree.geometry import INTERIOR, PointSet, point_in_triangle
+from planetree.generators import convex_position_points
+from planetree.geometry import INTERIOR, Point, PointSet, point_in_triangle
+from planetree.graphs import GeometricGraph
 from planetree.rotation import (
     EVENT,
     INTERMEDIATE,
@@ -111,3 +116,21 @@ def relative_equals_global_empty(parent: PointSet, subset: Iterable[int]) -> boo
             if point_in_triangle(p, a, b, c) == INTERIOR:
                 return False
     return True
+
+
+def random_convex_graph(n: int, density: float, seed: int) -> GeometricGraph:
+    """A seeded random graph on n points in convex position.
+
+    The points are a rounded regular polygon or lie on the parabola
+    y = x^2 (which no line meets three times), and they are indexed in
+    a random order, so index order is not hull order.  Each pair is an
+    edge with probability `density`.
+    """
+    rng = random.Random(seed)
+    if seed % 2:
+        pts = list(convex_position_points(n).points)
+    else:
+        pts = [Point(x, x * x) for x in rng.sample(range(-1000, 1001), n)]
+    rng.shuffle(pts)
+    edges = frozenset(e for e in combinations(range(n), 2) if rng.random() < density)
+    return GeometricGraph(PointSet(tuple(pts)), edges)

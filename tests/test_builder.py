@@ -15,6 +15,7 @@ from planetree.builder import (
     CASE1,
     CASE2_1,
     CASE2_2,
+    FALLBACK,
     SplitLine,
     build_plane_tree,
     case2_walk,
@@ -103,7 +104,9 @@ def test_build_path_complement_reports_violation():
 
 
 def test_spent_oracle_budget_is_not_reported_as_absence():
-    spent = build_plane_tree(path_complement(12).graph, oracle_budget=10)
+    # The plane path of an r-construction is not in convex position, so
+    # its fallback runs the oracle.
+    spent = build_plane_tree(r_construction(12)[0].graph, oracle_budget=10)
     assert spent.tree is None
     assert spent.flags() == ["precondition_violated", "oracle_budget_exceeded"]
     assert spent.to_text().endswith('flags=["precondition_violated", "oracle_budget_exceeded"]')
@@ -114,6 +117,16 @@ def test_spent_oracle_budget_is_not_reported_as_absence():
     assert base.trace[-1] == (4, BASE)
     proven = build_plane_tree(path_complement(8).graph)
     assert proven.tree is None and proven.flags() == ["precondition_violated"]
+
+
+def test_a_convex_fallback_spends_no_oracle_budget():
+    # Points in convex position fall back to the interval recurrence,
+    # which needs no budget, so even a budget of 10 nodes decides.
+    convex = build_plane_tree(path_complement(12).graph, oracle_budget=10)
+    assert convex.tree is None
+    assert convex.trace == [(12, FALLBACK)]
+    assert convex.flags() == ["precondition_violated"]
+
 
 def test_merge_with_single_shared_vertex():
     rng = random.Random(40)

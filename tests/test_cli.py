@@ -18,7 +18,7 @@ from planetree.instance_io import (
     load_instance,
     loads_instance,
 )
-from planetree.generators import path_complement
+from planetree.generators import path_complement, r_construction
 
 
 def run(capsys, *argv):
@@ -145,8 +145,10 @@ def test_build_path_complement_exits_3(tmp_path, capsys):
 
 
 def test_build_exits_4_when_the_oracle_budget_runs_out(tmp_path, capsys, monkeypatch):
-    out = tmp_path / "t12c.json"
-    run(capsys, "gen", "path-complement", "12", "--out", str(out))
+    # The plane path of an r-construction is not in convex position, so
+    # its fallback runs the oracle.
+    out = tmp_path / "r12-path.json"
+    dump_instance(r_construction(12)[0].graph, str(out))
     monkeypatch.setattr(cli, "build_plane_tree", partial(build_plane_tree, oracle_budget=10))
     code, stdout, _ = run(capsys, "build", str(out))
     assert code == 4

@@ -11,6 +11,7 @@ from planetree.geometry import (
     OUTSIDE,
     Point,
     PointSet,
+    hull_order,
     in_convex_position,
     in_general_position,
     orient,
@@ -133,6 +134,13 @@ def test_convex_position_examples():
     assert not in_convex_position(with_inner)
     triangle = PointSet.from_coords([(0, 0), (5, 1), (2, 7)])
     assert in_convex_position(triangle)
+
+
+def test_hull_order_lists_the_hull_vertices_counter_clockwise():
+    # From the lowest point in (x, y) order; the inner point 3 is left out.
+    ps = PointSet.from_coords([(4, 4), (0, 4), (4, 0), (1, 2), (0, 0)])
+    assert hull_order(ps) == (4, 2, 0, 1)
+    assert hull_order(ps.subset([3, 0])) == (0, 1)
 
 
 def test_subset_equals_a_validated_point_set():

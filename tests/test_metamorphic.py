@@ -9,13 +9,20 @@ flips all of them.  They may move the start line, and with it the
 tree, so only what the geometry alone decides is compared: the empty
 triangles, the disconnected witnesses, the flags and whether a
 certified tree comes back.  Every image stays inside `COORD_LIMIT`.
+
+The interval recurrence for convex position reads the points in hull
+order, which the mirror reverses and the other maps may start at a
+different vertex; its verdict must not change, and a translation, which
+keeps the hull order, must keep its witness.
 """
 
 import pytest
 
+from _diagnostics import random_convex_graph
 from planetree.builder import build_plane_tree
+from planetree.convex import convex_tree_edges
 from planetree.generators import path_complement, r_construction, random_instance
-from planetree.geometry import COORD_LIMIT, Point, PointSet
+from planetree.geometry import COORD_LIMIT, Point, PointSet, hull_order
 from planetree.graphs import GeometricGraph, PlaneTree, certify_plane_spanning_tree
 from planetree.rotation import full_rotation
 from planetree.triangles import disconnected_empty_triangles, enumerate_empty_triangles
@@ -92,3 +99,35 @@ def test_orientation_maps_keep_triangles_witnesses_flags_and_certifiability(name
         violated += report.precondition_violated
     assert trees > 30
     assert violated >= 5
+
+
+def _convex_instances():
+    for t in range(40):
+        yield random_convex_graph(4 + t % 6, (0.3, 0.5, 0.7, 0.9)[t % 4], seed=71_001 + t)
+    for n in range(5, 17):
+        yield path_complement(n).graph
+
+
+def test_the_convex_decision_keeps_its_verdict_under_every_map():
+    trees = 0
+    for g in _convex_instances():
+        edges = convex_tree_edges(g)
+        trees += edges is not None
+        for tx, ty in _translations(g):
+            assert convex_tree_edges(_mapped(g, lambda x, y: (x + tx, y + ty))) == edges
+        for name, f in sorted(MAPS.items()):
+            image = _mapped(g, f)
+            image_edges = convex_tree_edges(image)
+            assert (image_edges is None) == (edges is None), name
+            if image_edges is not None:
+                # Indices are kept, so the image's tree is a tree of g too.
+                assert isinstance(certify_plane_spanning_tree(g, image_edges), PlaneTree)
+    assert 10 <= trees <= 40
+
+
+def test_the_mirror_reverses_the_hull_order():
+    g = path_complement(9).graph
+    order = hull_order(g.ps)
+    mirrored = hull_order(_mapped(g, MAPS["mirror"]).ps)
+    start = mirrored.index(order[0])
+    assert mirrored[start::-1] + mirrored[:start:-1] == order

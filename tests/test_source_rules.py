@@ -78,3 +78,30 @@ def test_the_package_memoises_only_the_root_count():
                 memoised += [f"{path.name} {node.name}" for n in names if n in MEMOISERS]
     assert memoised == ["triangles.py _empty_triples"]
     assert uses == len(memoised)  # no cache built other than by decorator
+
+
+def _traced_names():
+    # The keys of the `wrappers` dict in `Tracer.installed`, read without
+    # importing the harness.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    installed = next(
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "installed"
+    )
+    wrappers = next(
+        node.value
+        for node in ast.walk(installed)
+        if isinstance(node, ast.Assign)
+        and any(getattr(t, "id", None) == "wrappers" for t in node.targets)
+    )
+    return [key.value for key in wrappers.keys]
+
+
+def test_the_builder_binds_every_name_the_benchmark_tracer_wraps():
+    # The tracer skips a name the builder no longer binds, and its
+    # counters then read 0 without an error.
+    names = _traced_names()
+    assert "has_plane_spanning_tree" in names
+    assert [name for name in names if not hasattr(planetree.builder, name)] == []
