@@ -46,7 +46,6 @@ from .oracle import BUDGET_EXCEEDED, DEFAULT_BUDGET, has_plane_spanning_tree
 from .rotation import (
     OrientedLine,
     RotationSequence,
-    SidePartition,
     full_rotation,
     sweep_states,
 )
@@ -121,17 +120,14 @@ def find_valid_split(
         raise ValueError("splitting needs at least 5 points")
     if witnesses is None:
         witnesses = disconnected_empty_triangles(g).witnesses
-    part0 = None
+    start: tuple[bool, bool] | None = None
     for index, (line, part) in enumerate(sweep_states(g.ps)):
-        if index == 0:
-            part0 = part
-        left = part.left
-        right = part.right
-        if len(left) < 3 or len(right) < 3:
-            continue
-        if _side_count(witnesses, left) > len(left) - 3:
-            continue
-        if _side_count(witnesses, right) > len(right) - 3:
+        left, right = part.left, part.right
+        if start is None:
+            start = (_fits(witnesses, left), _fits(witnesses, right))
+            if start != (True, True):
+                continue
+        elif not (_fits(witnesses, left) and _fits(witnesses, right)):
             continue
         return SplitLine(
             graph=g,
@@ -139,33 +135,37 @@ def find_valid_split(
             left_indices=left,
             right_indices=right,
             shared=left & right,
-            case_tag=_classify(g, part0, index, witnesses),
+            case_tag=_classify(g, start, index, witnesses),
         )
     return None
 
 
-def _side_count(witnesses: tuple[Triple, ...], side: frozenset[int]) -> int:
-    return sum(u in side and v in side and w in side for u, v, w in witnesses)
+def _fits(witnesses: tuple[Triple, ...], side: frozenset[int]) -> bool:
+    """Size condition: at least 3 points and at most len(side) - 3 witnesses."""
+    if len(side) < 3:
+        return False
+    inside = sum(u in side and v in side and w in side for u, v, w in witnesses)
+    return inside <= len(side) - 3
 
 
 def _classify(
     g: GeometricGraph,
-    part0: SidePartition,
+    start: tuple[bool, bool],
     winner_index: int,
     witnesses: tuple[Triple, ...],
 ) -> str:
     """Diagnostic tag: which configuration of the start line led here.
 
-    part0 holds the start line's sides; winner_index is the winner's
-    place in sweep order (intermediate i at 2i, event i at 2i + 1).
+    start holds the size condition's verdicts on the start line's left
+    and right sides; winner_index is the winner's place in sweep order
+    (intermediate i at 2i, event i at 2i + 1).
     """
-    if winner_index == 0:
+    low_left, low_right = start
+    if low_left and low_right:
         return CASE1
-    low_left = _side_count(witnesses, part0.left) <= len(part0.left) - 3
-    low_right = _side_count(witnesses, part0.right) <= len(part0.right) - 3
-    if low_left and not low_right:
+    if low_left:
         return CASE4
-    if not low_left and low_right:
+    if low_right:
         return CASE3
     # Both sides of the start line are overloaded: the qualifying state
     # should be the shifted event line located by the crossing walk.

@@ -21,8 +21,7 @@ from .geometry import (
     Point,
     PointSet,
     _direction_clash,
-    in_convex_position,
-    orient,
+    hull_order,
     point_in_triangle,
 )
 from .graphs import GeometricGraph, complete_graph, is_crossing_free
@@ -71,15 +70,13 @@ def convex_position_points(n: int, scale: int = DEFAULT_SCALE) -> PointSet:
         except (GeneralPositionError, ValueError):
             radius *= 2
             continue
-        if in_convex_position(ps) and _in_hull_order(ps):
+        # The hull runs counter-clockwise from its lowest point k: index
+        # order is hull order (so convex position too) iff it is k, k+1, ... mod n.
+        hull = hull_order(ps)
+        if hull == tuple((hull[0] + i) % n for i in range(n)):
             return ps
         radius *= 2
     raise GenerationError(f"no convex realization for n={n} up to radius {radius}")
-
-
-def _in_hull_order(ps: PointSet) -> bool:
-    n = len(ps)
-    return all(orient(ps[i], ps[(i + 1) % n], ps[(i + 2) % n]) == 1 for i in range(n))
 
 
 def path_complement(n: int, scale: int = DEFAULT_SCALE) -> Instance:
@@ -93,8 +90,7 @@ def path_complement(n: int, scale: int = DEFAULT_SCALE) -> Instance:
         raise ValueError("need at least 3 points")
     ps = convex_position_points(n, scale)
     path = {(i, i + 1) for i in range(n - 1)}
-    edges = frozenset(set(combinations(range(n), 2)) - path)
-    g = GeometricGraph(ps, edges)
+    g = GeometricGraph(ps, set(combinations(range(n), 2)) - path)
     got = disconnected_empty_triangles(g).count
     if got != n - 2:
         raise GenerationError(
@@ -133,9 +129,7 @@ def r_construction(n: int, scale: int = DEFAULT_SCALE) -> tuple[Instance, Instan
         r = GeometricGraph(ps, path_edges)
         if not is_crossing_free(r, r.edges):
             continue
-        complement = GeometricGraph(
-            ps, frozenset(set(combinations(range(n), 2)) - set(path_edges))
-        )
+        complement = GeometricGraph(ps, set(combinations(range(n), 2)) - path_edges)
         if disconnected_empty_triangles(complement).count != n - 3:
             continue
         return Instance(r, "r_construction"), Instance(complement, "r_construction")
@@ -177,9 +171,8 @@ def random_instance(n: int, seed: int, mode: str = "budgeted") -> Instance:
         raise ValueError(f"unknown mode {mode!r}")
     rng = random.Random(seed)
     ps = random_point_set(n, rng)
-    g = complete_graph(ps)
     if mode == "complete":
-        return Instance(g, "complete", seed=seed)
+        return Instance(complete_graph(ps), "complete", seed=seed)
 
     # Induced-edge count of each empty triangle, by its position in
     # `empties`; deleting an edge disconnects the triangles at count 2.
@@ -193,7 +186,9 @@ def random_instance(n: int, seed: int, mode: str = "budgeted") -> Instance:
         for e in ((u, v), (v, w), (u, w)):
             by_edge.setdefault(e, []).append(t)
 
-    edges = sorted(g.edges)  # rng draws by position, so removals keep it sorted
+    # The complete graph's edges, sorted: rng draws by position, and
+    # removals keep the list sorted.
+    edges = list(combinations(range(n), 2))
     disconnected = 0
     budget = n - 3
     for _ in range(3 * len(edges)):
@@ -209,7 +204,7 @@ def random_instance(n: int, seed: int, mode: str = "budgeted") -> Instance:
         disconnected += delta
         del edges[bisect_left(edges, e)]
 
-    result = GeometricGraph(ps, frozenset(edges))
+    result = GeometricGraph(ps, edges)
     check = len(_empty_candidates(tables, result.edges))
     if check != disconnected or check > budget:
         raise GenerationError("incremental disconnected count drifted")

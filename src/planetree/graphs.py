@@ -24,6 +24,11 @@ def canonical_edge(i: int, j: int) -> Edge:
 
 @dataclass(frozen=True)
 class GeometricGraph:
+    """Straight-line edges over a PointSet.  `edges` may be any iterable of
+    index pairs.  This is the one place edges are validated: each pair is
+    checked once, and a ValueError names the first bad one.  The edges
+    are stored as a frozenset of canonical pairs."""
+
     ps: PointSet
     edges: frozenset[Edge]
     parent: "GeometricGraph | None" = field(default=None, repr=False, compare=False)
@@ -31,15 +36,17 @@ class GeometricGraph:
 
     def __post_init__(self) -> None:
         n = len(self.ps)
+        canon = set()
         for i, j in self.edges:
             # `is_integer`, inlined: this runs for every edge of every graph.
             if type(i) is not int or type(j) is not int:
                 raise ValueError(f"edge ({i!r}, {j!r}) has a non-integer index")
-        canon = frozenset(canonical_edge(i, j) for i, j in self.edges)
-        for i, j in canon:
+            if i == j:
+                raise ValueError(f"edge ({i}, {j}) is a self-loop")
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"edge ({i}, {j}) out of range for {n} points")
-        object.__setattr__(self, "edges", canon)
+            canon.add((i, j) if i < j else (j, i))
+        object.__setattr__(self, "edges", frozenset(canon))
 
     @property
     def n(self) -> int:
@@ -54,8 +61,7 @@ class GeometricGraph:
 
 
 def complete_graph(ps: PointSet) -> GeometricGraph:
-    n = len(ps)
-    return GeometricGraph(ps, frozenset(combinations(range(n), 2)))
+    return GeometricGraph(ps, combinations(range(len(ps)), 2))
 
 
 def induced_subgraph(g: GeometricGraph, subset: Iterable[int]) -> GeometricGraph:

@@ -1,9 +1,10 @@
 """Instance files: {"points": [[x, y], ...], "edges": [[i, j], ...]}.
 
-Coordinates and indices are integers only; anything else fails the load
-with a field diagnostic.  Dumps are canonical (sorted keys, points in
-index order, edges as sorted canonical pairs) so a generate/load/dump
-round trip is byte-exact.
+The loader checks the file's shape and integer coordinates, naming a bad
+one by position (`points[1][0]`).  `GeometricGraph` checks the edges;
+its error becomes `invalid edges: ...` and names the pair.  Dumps are
+canonical (sorted keys, points in index order, edges as sorted canonical
+pairs) so a generate/load/dump round trip is byte-exact.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import json
 from typing import Any
 
 from .geometry import PointSet, is_integer
-from .graphs import GeometricGraph, canonical_edge
+from .graphs import GeometricGraph
 
 
 class InstanceFormatError(ValueError):
@@ -60,17 +61,14 @@ def loads_instance(text: str, require_edges: bool = True) -> GeometricGraph:
             raise InstanceFormatError("missing 'edges'")
         raw_edges = []
     if not isinstance(raw_edges, list):
-        raise InstanceFormatError("'edges' must be a list")
-    edges = set()
-    for idx, entry in enumerate(raw_edges):
+        raise InstanceFormatError(f"invalid edges: expected a list, got {raw_edges!r}")
+    for entry in raw_edges:
         if not isinstance(entry, list) or len(entry) != 2:
-            raise InstanceFormatError(f"edges[{idx}]: expected [i, j]")
-        i = _as_int(entry[0], f"edges[{idx}][0]")
-        j = _as_int(entry[1], f"edges[{idx}][1]")
-        if not (0 <= i < len(ps) and 0 <= j < len(ps)) or i == j:
-            raise InstanceFormatError(f"edges[{idx}]: invalid pair [{i}, {j}]")
-        edges.add(canonical_edge(i, j))
-    return GeometricGraph(ps, frozenset(edges))
+            raise InstanceFormatError(f"invalid edges: expected [i, j], got {entry!r}")
+    try:
+        return GeometricGraph(ps, raw_edges)
+    except ValueError as err:
+        raise InstanceFormatError(f"invalid edges: {err}") from err
 
 
 def load_instance(path: str, require_edges: bool = True) -> GeometricGraph:

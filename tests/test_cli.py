@@ -105,6 +105,50 @@ def test_float_coordinates_rejected(tmp_path, capsys):
     assert "points[1][0]" in stderr
 
 
+THREE_POINTS = "[[0, 0], [4, 1], [1, 3]]"
+BAD_EDGES = [
+    ("[[0, 1], [1, 1]]", "edge (1, 1) is a self-loop"),
+    ("[[0, 1], [0, 3]]", "edge (0, 3) out of range for 3 points"),
+    ("[[-1, 2]]", "edge (-1, 2) out of range for 3 points"),
+    ("[[0, 1.5]]", "edge (0, 1.5) has a non-integer index"),
+    ("[[true, 1]]", "edge (True, 1) has a non-integer index"),
+    ('[["0", 1]]', "edge ('0', 1) has a non-integer index"),
+    ("[[[1], [2]]]", "edge ([1], [2]) has a non-integer index"),
+    ("[[0, 1], [0, 1, 2]]", "expected [i, j], got [0, 1, 2]"),
+    ('"0-1"', "expected a list, got '0-1'"),
+]
+
+
+@pytest.mark.parametrize("edges, detail", BAD_EDGES)
+def test_load_names_the_bad_edge(edges, detail):
+    text = f'{{"points": {THREE_POINTS}, "edges": {edges}}}'
+    with pytest.raises(InstanceFormatError) as err:
+        loads_instance(text)
+    assert str(err.value) == f"invalid edges: {detail}"
+
+
+@pytest.mark.parametrize("edges, detail", BAD_EDGES)
+def test_stats_refuses_a_bad_edge(tmp_path, capsys, edges, detail):
+    bad = tmp_path / "bad_edges.json"
+    bad.write_text(f'{{"points": {THREE_POINTS}, "edges": {edges}}}')
+    code, stdout, stderr = run(capsys, "stats", str(bad))
+    assert code == 1 and stdout == ""
+    assert stderr == f"error: invalid edges: {detail}\n"
+
+
+def test_load_without_edges():
+    text = f'{{"points": {THREE_POINTS}}}'
+    assert loads_instance(text, require_edges=False).edges == frozenset()
+    with pytest.raises(InstanceFormatError, match="missing 'edges'"):
+        loads_instance(text)
+
+
+def test_load_canonicalises_and_merges_pairs():
+    g = loads_instance(f'{{"points": {THREE_POINTS}, "edges": [[1, 0], [0, 1], [2, 1]]}}')
+    assert g.edges == frozenset({(0, 1), (1, 2)})
+    assert dumps_instance(g) == f'{{"edges": [[0, 1], [1, 2]], "points": {THREE_POINTS}}}'
+
+
 @pytest.mark.parametrize(
     "points, detail",
     [

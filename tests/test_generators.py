@@ -4,6 +4,7 @@ import pytest
 
 from planetree import generators
 from planetree.generators import (
+    DEFAULT_SCALE,
     GenerationError,
     convex_position_points,
     path_complement,
@@ -11,7 +12,14 @@ from planetree.generators import (
     random_instance,
     random_point_set,
 )
-from planetree.geometry import INTERIOR, in_convex_position, in_general_position, orient, point_in_triangle
+from planetree.geometry import (
+    INTERIOR,
+    hull_order,
+    in_convex_position,
+    in_general_position,
+    orient,
+    point_in_triangle,
+)
 from planetree.graphs import is_crossing_free
 from planetree.instance_io import dumps_instance
 from planetree.oracle import ABSENT, has_plane_spanning_tree
@@ -32,6 +40,11 @@ def test_convex_points_in_hull_order():
     n = len(ps)
     for i in range(n):
         assert orient(ps[i], ps[(i + 1) % n], ps[(i + 2) % n]) == 1
+    # Index order is the hull order itself, read from the hull's lowest point.
+    for scale in (DEFAULT_SCALE, 10):
+        for n in range(3, 41):
+            hull = hull_order(convex_position_points(n, scale=scale))
+            assert hull == tuple((hull[0] + i) % n for i in range(n))
 
 
 def test_convex_points_small_scale():

@@ -42,6 +42,22 @@ def test_self_loop_rejected():
         GeometricGraph(ps, frozenset({(1, 1)}))
 
 
+def test_graph_takes_any_iterable_of_pairs_and_stores_them_canonically():
+    ps = convex_position_points(4)
+    g = GeometricGraph(ps, [(2, 0), (0, 2), (3, 1)])
+    assert g.edges == frozenset({(0, 2), (1, 3)})
+    assert GeometricGraph(ps, ((i, i + 1) for i in range(3))).edges == frozenset(
+        {(0, 1), (1, 2), (2, 3)}
+    )
+
+
+def test_a_pair_that_breaks_two_rules_is_refused():
+    # (7, 7) is both a self-loop and out of range; the self-loop is checked first.
+    ps = convex_position_points(4)
+    with pytest.raises(ValueError, match=r"edge \(7, 7\) is a self-loop"):
+        GeometricGraph(ps, [(0, 1), (7, 7)])
+
+
 def test_induced_subgraph_of_complete():
     g = complete_graph(convex_position_points(5))
     sub = induced_subgraph(g, [0, 2, 4])
