@@ -14,9 +14,10 @@ in convex position, from 5 up, are decided by the O(n^3) interval
 recurrence in `convex`; all other fallbacks go to the oracle, whose
 search is exponential in the worst case.
 
-Levels pass plain edge sets to each other and certify nothing.  A build
-is certified once, at the root: `build_plane_tree` runs the certifier on
-the final tree and raises on a rejection, also under `python -O`.
+Levels, the oracle and the convex recurrence return plain edge sets and
+certify nothing.  A build is certified once, at the root:
+`build_plane_tree` runs the certifier on the final tree and raises on a
+rejection, also under `python -O`.
 
 The scan is deliberately more generous than the four-way case analysis
 that justifies it; the analysis survives as the case_tag diagnostic so
@@ -142,10 +143,15 @@ def find_valid_split(
 
 def _fits(witnesses: tuple[Triple, ...], side: frozenset[int]) -> bool:
     """Size condition: at least 3 points and at most len(side) - 3 witnesses."""
-    if len(side) < 3:
+    room = len(side) - 3
+    if room < 0:
         return False
-    inside = sum(u in side and v in side and w in side for u, v, w in witnesses)
-    return inside <= len(side) - 3
+    for u, v, w in witnesses:
+        if u in side and v in side and w in side:
+            room -= 1
+            if room < 0:
+                return False  # over the bound; the rest cannot bring it back
+    return True
 
 
 def _classify(
@@ -342,7 +348,7 @@ def _fallback_edges(g: GeometricGraph, budget: int) -> frozenset[Edge] | None:
 
 
 def _oracle_edges(g: GeometricGraph, budget: int) -> frozenset[Edge] | None:
-    """The oracle's tree edges, or None when g has none.
+    """The oracle's tree edges, uncertified, or None when g has none.
 
     The oracle decides the base cases of 3 and 4 points and the fallbacks
     on points not in convex position.  A spent budget raises
@@ -351,6 +357,4 @@ def _oracle_edges(g: GeometricGraph, budget: int) -> frozenset[Edge] | None:
     result = has_plane_spanning_tree(g, budget=budget)
     if result.status == BUDGET_EXCEEDED:
         raise _OracleBudgetSpent
-    if result.witness is None:
-        return None
-    return result.witness.tree_edges
+    return result.tree_edges

@@ -175,9 +175,12 @@ def cmd_oracle(args) -> int:
     g = load_instance(args.path)
     result = has_plane_spanning_tree(g, budget=args.budget)
     if result.status == FOUND:
-        if result.witness is None:
+        if result.tree_edges is None:
             raise AssertionError("oracle reported a tree without a witness")
-        tree = sorted(list(e) for e in result.witness.tree_edges)
+        verdict = certify_plane_spanning_tree(g, result.tree_edges)
+        if not isinstance(verdict, PlaneTree):
+            raise AssertionError(f"oracle produced invalid tree: {verdict}")
+        tree = sorted(list(e) for e in verdict.tree_edges)
         print(f"exists tree={json.dumps(tree)} nodes={result.nodes}")
         return 0
     if result.status == ABSENT:

@@ -7,6 +7,11 @@ instances tractable: an edge incompatible with the chosen set (crossing
 or cycle-forming) is never branched on, and a branch dies as soon as
 the surviving remaining edges cannot reconnect the current components.
 Budget exhaustion is a distinct outcome, never reported as absence.
+
+The search is iterative, so its depth (n - 1 chosen edges) is not bound
+by Python's recursion limit.  It returns the chosen edges uncertified:
+a caller certifies them where they leave the program, as
+`build_plane_tree` and `planetree oracle` do.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .geometry import segments_properly_cross
-from .graphs import GeometricGraph, PlaneTree, certify_plane_spanning_tree
+from .graphs import Edge, GeometricGraph
 
 DEFAULT_BUDGET = 10**8
 
@@ -26,7 +31,7 @@ BUDGET_EXCEEDED = "budget-exceeded"
 @dataclass(frozen=True)
 class OracleResult:
     status: str  # FOUND | ABSENT | BUDGET_EXCEEDED
-    witness: PlaneTree | None
+    tree_edges: frozenset[Edge] | None  # the chosen edges when FOUND
     nodes: int
 
     @property
@@ -36,23 +41,16 @@ class OracleResult:
         return self.status == FOUND
 
 
-class _BudgetExceeded(Exception):
-    pass
-
-
 def has_plane_spanning_tree(
     g: GeometricGraph, budget: int = DEFAULT_BUDGET
 ) -> OracleResult:
-    """Decide existence with a witness; fixed edge order makes the
-    witness deterministic across runs."""
+    """Decide existence with the tree's edges; fixed edge order makes the
+    edges deterministic across runs.  The edges are not certified."""
     n = g.n
     edges = sorted(g.edges)
     m = len(edges)
     if n == 1:
-        tree = certify_plane_spanning_tree(g, [])
-        if not isinstance(tree, PlaneTree):
-            raise AssertionError(f"oracle produced invalid tree: {tree}")
-        return OracleResult(FOUND, tree, 0)
+        return OracleResult(FOUND, frozenset(), 0)
     degree = [0] * n
     for i, j in edges:
         degree[i] += 1
@@ -70,17 +68,9 @@ def has_plane_spanning_tree(
                 crossers[a] |= 1 << b
                 crossers[b] |= 1 << a
 
-    search = _Search(n, edges, crossers, budget)
-    try:
-        found = search.run()
-    except _BudgetExceeded:
-        return OracleResult(BUDGET_EXCEEDED, None, search.nodes)
-    if not found:
-        return OracleResult(ABSENT, None, search.nodes)
-    witness = certify_plane_spanning_tree(g, [edges[e] for e in search.chosen])
-    if not isinstance(witness, PlaneTree):
-        raise AssertionError(f"oracle produced invalid tree: {witness}")
-    return OracleResult(FOUND, witness, search.nodes)
+    status, chosen, nodes = _search(n, edges, crossers, budget)
+    tree_edges = frozenset(edges[e] for e in chosen) if status == FOUND else None
+    return OracleResult(status, tree_edges, nodes)
 
 
 def _find(parent: list[int], x: int) -> int:
@@ -89,67 +79,60 @@ def _find(parent: list[int], x: int) -> int:
     return x
 
 
-class _Search:
-    def __init__(self, n, edges, crossers, budget):
-        self.n = n
-        self.edges = edges
-        self.m = len(edges)
-        self.crossers = crossers
-        self.budget = budget
-        self.nodes = 0
-        self.chosen: list[int] = []
-        self.banned = 0  # bitmask of edges crossing something chosen
-        self.parent = list(range(n))
+def _search(n, edges, crossers, budget) -> tuple[str, list[int], int]:
+    """Depth-first search over edge subsets in index order: the status,
+    the chosen edge indices (a tree when FOUND) and the nodes visited."""
+    parent = list(range(n))
+    chosen: list[int] = []
+    banned = 0  # bitmask of edges crossing something chosen
+    nodes = 0
+    # Each frame holds a level's usable edges, the position of its next
+    # pick and the undo data of the pick explored below it.
+    stack = [(_usable(edges, parent, banned, 0, n), 0, None)]
+    while stack:
+        usable, pos, undo = stack.pop()
+        if undo is not None:  # the pick before pos led nowhere
+            root, banned = undo
+            parent[root] = root
+            chosen.pop()
+        components = n - len(chosen)
+        if len(usable) - pos < components - 1:
+            continue
+        nodes += 1
+        if nodes > budget:
+            return BUDGET_EXCEEDED, chosen, nodes
+        e = usable[pos]
+        i, j = edges[e]
+        root = _find(parent, i)
+        stack.append((usable, pos + 1, (root, banned)))
+        parent[root] = _find(parent, j)
+        banned |= crossers[e]
+        chosen.append(e)
+        if components == 2:
+            return FOUND, chosen, nodes
+        stack.append((_usable(edges, parent, banned, e + 1, components - 1), 0, None))
+    return ABSENT, chosen, nodes
 
-    def run(self) -> bool:
-        return self._extend(0, self.n)
 
-    def _extend(self, start: int, components: int) -> bool:
-        if components == 1:
-            return True
-        usable = []
-        for e in range(start, self.m):
-            if self.banned >> e & 1:
-                continue
-            i, j = self.edges[e]
-            if _find(self.parent, i) != _find(self.parent, j):
-                usable.append(e)
-        if len(usable) < components - 1:
-            return False
-        if not self._connectable(usable, components):
-            return False
-        for pos, e in enumerate(usable):
-            if len(usable) - pos < components - 1:
-                break
-            self.nodes += 1
-            if self.nodes > self.budget:
-                raise _BudgetExceeded
-            i, j = self.edges[e]
-            ri, rj = _find(self.parent, i), _find(self.parent, j)
-            if ri == rj:
-                continue  # an earlier pick in this loop merged them
-            self.parent[ri] = rj
-            saved_banned = self.banned
-            self.banned |= self.crossers[e]
-            self.chosen.append(e)
-            if self._extend(e + 1, components - 1):
-                return True
-            self.chosen.pop()
-            self.banned = saved_banned
-            self.parent[ri] = ri
-        return False
-
-    def _connectable(self, usable: list[int], components: int) -> bool:
-        # Union every usable edge at once; if that still leaves several
-        # components, no subset can reconnect them either.
-        parent = self.parent[:]
-        merges = 0
-        for e in usable:
-            i, j = self.edges[e]
-            ri, rj = _find(parent, i), _find(parent, j)
-            if ri != rj:
-                parent[ri] = rj
-                merges += 1
-                if merges == components - 1:
-                    return True
-        return False
+def _usable(edges, parent, banned, start, components) -> list[int]:
+    """Edges from start on that cross nothing chosen and join two
+    components; empty when all of them together cannot reconnect the
+    components, since no subset can then either."""
+    usable = []
+    for e in range(start, len(edges)):
+        i, j = edges[e]
+        if not banned >> e & 1 and _find(parent, i) != _find(parent, j):
+            usable.append(e)
+    if len(usable) < components - 1:
+        return []
+    parent = parent[:]
+    merges = 0
+    for e in usable:
+        i, j = edges[e]
+        ri, rj = _find(parent, i), _find(parent, j)
+        if ri != rj:
+            parent[ri] = rj
+            merges += 1
+            if merges == components - 1:
+                return usable
+    return []

@@ -280,8 +280,8 @@ from planetree import cli
 from planetree.oracle import FOUND, OracleResult
 
 print(__debug__)
-for status in (FOUND, "unknown"):
-    cli.has_plane_spanning_tree = lambda g, budget: OracleResult(status, None, 0)
+for status, edges in ((FOUND, None), ("unknown", None), (FOUND, frozenset())):
+    cli.has_plane_spanning_tree = lambda g, budget: OracleResult(status, edges, 0)
     try:
         code = cli.main(["oracle", sys.argv[1]])
     except AssertionError as err:
@@ -303,6 +303,7 @@ def test_oracle_result_checks_raise_under_python_O(tmp_path, capsys):
         "False",
         "found oracle reported a tree without a witness",
         "unknown unknown oracle status 'unknown'",
+        "found oracle produced invalid tree: wrong-count",
     ]
 
 

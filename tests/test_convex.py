@@ -24,9 +24,12 @@ DENSITIES = (0.25, 0.45, 0.65, 0.85)
 
 def _agrees_with_the_oracle(g):
     edges = convex_tree_edges(g)
-    assert (edges is not None) == has_plane_spanning_tree(g).exists
+    oracle = has_plane_spanning_tree(g)
+    assert (edges is not None) == oracle.exists
     if edges is not None:
+        # Neither decision certifies its own edges, so both are checked here.
         assert isinstance(certify_plane_spanning_tree(g, edges), PlaneTree)
+        assert isinstance(certify_plane_spanning_tree(g, oracle.tree_edges), PlaneTree)
     return edges is not None
 
 

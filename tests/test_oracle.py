@@ -1,11 +1,14 @@
 import random
 
+from planetree import cli
 from planetree.generators import (
     convex_position_points,
     path_complement,
     random_point_set,
 )
-from planetree.graphs import GeometricGraph, complete_graph
+from planetree.geometry import Point, PointSet
+from planetree.graphs import GeometricGraph, PlaneTree, certify_plane_spanning_tree, complete_graph
+from planetree.instance_io import dump_instance
 from planetree.oracle import ABSENT, BUDGET_EXCEEDED, FOUND, has_plane_spanning_tree
 
 
@@ -15,7 +18,7 @@ def test_complete_graph_finds_lex_first_star():
     assert result.status == FOUND
     assert result.exists is True
     # Lexicographic edge order makes the star at vertex 0 the first tree.
-    assert result.witness.tree_edges == frozenset((0, i) for i in range(1, 6))
+    assert result.tree_edges == frozenset((0, i) for i in range(1, 6))
 
 
 def test_isolated_vertex_means_absent():
@@ -46,7 +49,7 @@ def test_witness_deterministic():
     g = complete_graph(ps)
     first = has_plane_spanning_tree(g)
     second = has_plane_spanning_tree(g)
-    assert first.witness.tree_edges == second.witness.tree_edges
+    assert first.tree_edges == second.tree_edges
     assert first.nodes == second.nodes
 
 
@@ -61,8 +64,27 @@ def test_sparse_graphs_random_consistency():
         seen_absent = False
         for cut in range(len(edges), -1, -2):
             g = GeometricGraph(ps, frozenset(edges[:cut]))
-            status = has_plane_spanning_tree(g).status
+            result = has_plane_spanning_tree(g)
+            status = result.status
+            if status == FOUND:
+                # The oracle returns its edges uncertified; check them here.
+                assert isinstance(certify_plane_spanning_tree(g, result.tree_edges), PlaneTree)
             if seen_absent:
                 assert status == ABSENT
             elif status == ABSENT:
                 seen_absent = True
+
+
+def test_the_search_is_iterative_on_a_1000_point_path(tmp_path, capsys):
+    # One chosen edge per level: a recursive search would go 999 levels
+    # deep, past Python's default recursion limit.
+    n = 1000
+    ps = PointSet(tuple(Point(i, i * i) for i in range(n)))
+    g = GeometricGraph(ps, frozenset((i, i + 1) for i in range(n - 1)))
+    result = has_plane_spanning_tree(g)
+    assert result.status == FOUND
+    assert result.nodes == n - 1
+    path = tmp_path / "path.json"
+    dump_instance(g, str(path))
+    assert cli.main(["oracle", str(path)]) == 0
+    assert capsys.readouterr().out.rstrip().endswith(f"nodes={n - 1}")

@@ -105,3 +105,25 @@ def test_the_builder_binds_every_name_the_benchmark_tracer_wraps():
     names = _traced_names()
     assert "has_plane_spanning_tree" in names
     assert [name for name in names if not hasattr(planetree.builder, name)] == []
+
+
+CERTIFY = "certify_plane_spanning_tree"
+
+
+def test_only_the_api_boundary_certifies():
+    # A tree is certified once, where it leaves the program: the exact
+    # layers below (builder levels, the oracle, the convex recurrence)
+    # return plain edge sets and leave the check to these callers.
+    callers = set()
+    for path in sorted(Path(planetree.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for top in tree.body:
+            refs = [
+                node
+                for node in ast.walk(top)
+                if isinstance(node, ast.Name) and node.id == CERTIFY
+                or isinstance(node, ast.Attribute) and node.attr == CERTIFY
+            ]
+            if refs:
+                callers.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    assert callers == {"builder.build_plane_tree", "cli.cmd_check", "cli.cmd_oracle"}
