@@ -104,9 +104,7 @@ class BuildReport:
         )
 
 
-def find_valid_split(
-    g: GeometricGraph, witnesses: tuple[Triple, ...] | None = None
-) -> SplitLine | None:
+def find_valid_split(g: GeometricGraph, witnesses: tuple[Triple, ...]) -> SplitLine | None:
     """First sweep state whose closed sides both satisfy the size condition.
 
     Takes states from `sweep_states` in sweep order and stops at the
@@ -114,13 +112,11 @@ def find_valid_split(
     input and the rest of the turn is never computed.  Returns None when
     no state qualifies, which the theorem rules out whenever g itself
     satisfies the size condition.  `witnesses` are g's disconnected
-    empty triangles, counted here when not given.  Each side is a closed
+    empty triangles, as the caller counted them.  Each side is a closed
     half-plane of g, so its count is the number of witnesses it contains.
     """
     if g.n < 5:
         raise ValueError("splitting needs at least 5 points")
-    if witnesses is None:
-        witnesses = disconnected_empty_triangles(g).witnesses
     start: tuple[bool, bool] | None = None
     for index, (line, part) in enumerate(sweep_states(g.ps)):
         left, right = part.left, part.right
@@ -175,7 +171,7 @@ def _classify(
         return CASE3
     # Both sides of the start line are overloaded: the qualifying state
     # should be the shifted event line located by the crossing walk.
-    walk = case2_walk(g, full_rotation(g.ps), witnesses)
+    walk = case2_walk(full_rotation(g.ps), witnesses)
     if walk is not None:
         subcase, event_idx, _ = walk
         if winner_index == 2 * event_idx + 1:
@@ -184,22 +180,18 @@ def _classify(
 
 
 def case2_walk(
-    g: GeometricGraph,
-    seq: RotationSequence,
-    witnesses: tuple[Triple, ...] | None = None,
+    seq: RotationSequence, witnesses: tuple[Triple, ...]
 ) -> tuple[str, int, int] | None:
     """Locate the shifted event line used when both start sides overload.
 
     Returns (subcase, event index, index of the last state before the
     first crossing) or None when the walk cannot be completed.  The walk
-    finds the first intermediate state that strictly separates some
-    disconnected empty triangle of g, read off the state's stored sides,
-    then advances until the sweep axis returns to the heavy side; the
-    event reached at that moment is the candidate split.  `witnesses`
-    are g's disconnected empty triangles, counted here when not given.
+    finds the first intermediate state that strictly separates one of
+    `witnesses`, the disconnected empty triangles of the graph on seq's
+    points, read off the state's stored sides, then advances until the
+    sweep axis returns to the heavy side; the event reached at that
+    moment is the candidate split.
     """
-    if witnesses is None:
-        witnesses = disconnected_empty_triangles(g).witnesses
     if not witnesses:
         return None
     parts = seq.intermediate_partitions

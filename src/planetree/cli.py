@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Sequence
 
@@ -155,12 +154,7 @@ def cmd_build(args) -> int:
 
 def cmd_check(args) -> int:
     g = load_instance(args.path)
-    text = args.tree
-    if not text.lstrip().startswith("[") and os.path.exists(text):
-        with open(text, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    edges = parse_edge_list(text)
-    verdict = certify_plane_spanning_tree(g, edges)
+    verdict = certify_plane_spanning_tree(g, parse_edge_list(args.tree))
     if isinstance(verdict, PlaneTree):
         print("accepted")
         return 0
@@ -196,7 +190,7 @@ def _parse_range(text: str) -> tuple[int, int]:
     lo, _, hi = text.partition(":")
     n_min, n_max = int(lo), int(hi or lo)
     if n_min < 3 or n_max < n_min:
-        raise InstanceFormatError(f"bad n-range {text!r}")
+        raise ValueError(f"bad n-range {text!r}")
     return n_min, n_max
 
 

@@ -10,6 +10,7 @@ pairs) so a generate/load/dump round trip is byte-exact.
 from __future__ import annotations
 
 import json
+import os
 from typing import Any
 
 from .geometry import PointSet, is_integer
@@ -26,13 +27,29 @@ def _as_int(value: Any, where: str) -> int:
     return value
 
 
-def loads_instance(text: str, require_edges: bool = True) -> GeometricGraph:
+def _decode(text: str, what: str) -> Any:
+    """The package's one JSON decoder: any failure is a format error."""
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as err:
         raise InstanceFormatError(
-            f"invalid JSON at line {err.lineno} column {err.colno}: {err.msg}"
+            f"invalid {what}JSON at line {err.lineno} column {err.colno}: {err.msg}"
         ) from err
+    except (RecursionError, ValueError) as err:  # too deep; an over-long integer
+        raise InstanceFormatError(f"invalid {what}JSON: {err}") from err
+
+
+def _read(path: str) -> str:
+    """A file's text; bytes that are not UTF-8 are a format error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as err:
+        raise InstanceFormatError(f"{path}: not UTF-8 text ({err.reason})") from err
+
+
+def loads_instance(text: str, require_edges: bool = True) -> GeometricGraph:
+    data = _decode(text, "")
     if not isinstance(data, dict):
         raise InstanceFormatError("top level must be an object")
     if "points" not in data:
@@ -72,8 +89,7 @@ def loads_instance(text: str, require_edges: bool = True) -> GeometricGraph:
 
 
 def load_instance(path: str, require_edges: bool = True) -> GeometricGraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_instance(fh.read(), require_edges=require_edges)
+    return loads_instance(_read(path), require_edges=require_edges)
 
 
 def dumps_instance(g: GeometricGraph) -> str:
@@ -90,14 +106,11 @@ def dump_instance(g: GeometricGraph, path: str) -> None:
         fh.write("\n")
 
 
-def parse_edge_list(text: str) -> list[tuple[int, int]]:
-    """Parse a bare [[i, j], ...] edge list (used for tree arguments)."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise InstanceFormatError(
-            f"invalid edge list JSON at line {err.lineno} column {err.colno}: {err.msg}"
-        ) from err
+def parse_edge_list(arg: str) -> list[tuple[int, int]]:
+    """Parse a tree argument: an [[i, j], ...] edge list inline, or a file's path."""
+    if not arg.lstrip().startswith("[") and os.path.exists(arg):
+        arg = _read(arg)
+    data = _decode(arg, "edge list ")
     if not isinstance(data, list):
         raise InstanceFormatError("edge list must be a JSON array")
     out = []

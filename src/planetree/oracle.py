@@ -47,15 +47,13 @@ def has_plane_spanning_tree(
     """Decide existence with the tree's edges; fixed edge order makes the
     edges deterministic across runs.  The edges are not certified."""
     n = g.n
+    if n == 1:  # `_usable` reads a single component as unreachable
+        return OracleResult(FOUND, frozenset(), 0)
     edges = sorted(g.edges)
     m = len(edges)
-    if n == 1:
-        return OracleResult(FOUND, frozenset(), 0)
-    degree = [0] * n
-    for i, j in edges:
-        degree[i] += 1
-        degree[j] += 1
-    if m < n - 1 or any(d == 0 for d in degree):
+    parent = list(range(n))
+    usable = _usable(edges, parent, 0, 0, n)  # the one connectivity test
+    if not usable:
         return OracleResult(ABSENT, None, 0)
 
     # crossers[e] is a bitmask of edges properly crossing edge e.
@@ -68,7 +66,7 @@ def has_plane_spanning_tree(
                 crossers[a] |= 1 << b
                 crossers[b] |= 1 << a
 
-    status, chosen, nodes = _search(n, edges, crossers, budget)
+    status, chosen, nodes = _search(edges, crossers, budget, parent, usable)
     tree_edges = frozenset(edges[e] for e in chosen) if status == FOUND else None
     return OracleResult(status, tree_edges, nodes)
 
@@ -79,16 +77,17 @@ def _find(parent: list[int], x: int) -> int:
     return x
 
 
-def _search(n, edges, crossers, budget) -> tuple[str, list[int], int]:
-    """Depth-first search over edge subsets in index order: the status,
-    the chosen edge indices (a tree when FOUND) and the nodes visited."""
-    parent = list(range(n))
+def _search(edges, crossers, budget, parent, usable) -> tuple[str, list[int], int]:
+    """Depth-first search over edge subsets in index order from the forest
+    `parent` of singletons: the status, the chosen edge indices (a tree
+    when FOUND) and the nodes visited.  `usable` is the root frame's."""
+    n = len(parent)
     chosen: list[int] = []
     banned = 0  # bitmask of edges crossing something chosen
     nodes = 0
     # Each frame holds a level's usable edges, the position of its next
     # pick and the undo data of the pick explored below it.
-    stack = [(_usable(edges, parent, banned, 0, n), 0, None)]
+    stack = [(usable, 0, None)]
     while stack:
         usable, pos, undo = stack.pop()
         if undo is not None:  # the pick before pos led nowhere

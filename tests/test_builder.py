@@ -44,7 +44,7 @@ from planetree.triangles import disconnected_empty_triangles
 def test_complete_graph_splits_at_start_line():
     rng = random.Random(8)
     g = complete_graph(random_point_set(8, rng))
-    split = find_valid_split(g)
+    split = find_valid_split(g, disconnected_empty_triangles(g).witnesses)
     assert split is not None
     assert split.case_tag == CASE1
     assert len(split.shared) == 1
@@ -53,18 +53,19 @@ def test_complete_graph_splits_at_start_line():
 
 def test_find_valid_split_needs_five_points():
     g = complete_graph(convex_position_points(4))
+    witnesses = disconnected_empty_triangles(g).witnesses
     with pytest.raises(ValueError):
-        find_valid_split(g)
+        find_valid_split(g, witnesses)
 
 
 def test_path_complement_has_no_split():
     g = path_complement(6).graph
-    assert find_valid_split(g) is None
+    assert find_valid_split(g, disconnected_empty_triangles(g).witnesses) is None
 
 
 def test_r_construction_splits_and_builds():
     _, rc = r_construction(7)
-    split = find_valid_split(rc.graph)
+    split = find_valid_split(rc.graph, disconnected_empty_triangles(rc.graph).witnesses)
     assert split is not None
     report = build_plane_tree(rc.graph)
     assert report.tree is not None
@@ -131,7 +132,7 @@ def test_a_convex_fallback_spends_no_oracle_budget():
 def test_merge_with_single_shared_vertex():
     rng = random.Random(40)
     g = complete_graph(random_point_set(9, rng))
-    split = find_valid_split(g)
+    split = find_valid_split(g, disconnected_empty_triangles(g).witnesses)
     assert split is not None and len(split.shared) == 1
     gl = induced_subgraph(g, split.left_indices)
     gr = induced_subgraph(g, split.right_indices)
@@ -207,7 +208,7 @@ def test_merge_two_shared_vertices_drops_cycle_edge():
 def test_merge_rejects_foreign_side_trees():
     rng = random.Random(42)
     g = complete_graph(random_point_set(8, rng))
-    split = find_valid_split(g)
+    split = find_valid_split(g, disconnected_empty_triangles(g).witnesses)
     shared = next(iter(split.shared))
     left = _star(induced_subgraph(g, split.left_indices), shared)
     right = _star(induced_subgraph(g, split.right_indices), shared)
@@ -284,7 +285,7 @@ def test_case2_walk_bookkeeping_law():
         ).count
         if s_left <= len(part0.left) - 3 or s_right <= len(part0.right) - 3:
             continue  # not the both-overloaded configuration
-        walk = case2_walk(g, seq)
+        walk = case2_walk(seq, disconnected_empty_triangles(g).witnesses)
         if walk is None:
             continue
         subcase, event_idx, before = walk

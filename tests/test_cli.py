@@ -17,6 +17,7 @@ from planetree.instance_io import (
     dumps_instance,
     load_instance,
     loads_instance,
+    parse_edge_list,
 )
 from planetree.generators import path_complement, r_construction
 
@@ -134,6 +135,88 @@ def test_stats_refuses_a_bad_edge(tmp_path, capsys, edges, detail):
     code, stdout, stderr = run(capsys, "stats", str(bad))
     assert code == 1 and stdout == ""
     assert stderr == f"error: invalid edges: {detail}\n"
+
+
+@pytest.mark.parametrize(
+    "text, detail",
+    [
+        ("[]", "top level must be an object"),
+        ('{"points": []}', "'points' must be a non-empty list"),
+        ('{"points": {"0": [0, 0]}}', "'points' must be a non-empty list"),
+        ('{"points": [[0, 0], [1, 2, 3]]}', "points[1]: expected [x, y]"),
+        ('{"points": [[0, 0], 7]}', "points[1]: expected [x, y]"),
+    ],
+)
+def test_load_names_a_bad_shape(text, detail):
+    with pytest.raises(InstanceFormatError) as err:
+        loads_instance(text)
+    assert str(err.value) == detail
+
+
+@pytest.mark.parametrize(
+    "text, detail",
+    [
+        ("[[0, 1]", "invalid edge list JSON at line 1 column 8: Expecting ',' delimiter"),
+        ('{"edges": []}', "edge list must be a JSON array"),
+        ("[[0, 1], [2]]", "edge[1]: expected [i, j]"),
+        ('[[0, 1], [1, "2"]]', "edge[1][1]: expected an integer, got '2'"),
+    ],
+)
+def test_edge_list_errors_name_the_entry(text, detail):
+    with pytest.raises(InstanceFormatError) as err:
+        parse_edge_list(text)
+    assert str(err.value) == detail
+
+
+def test_an_edge_list_is_inline_or_a_file(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "tree.json").write_text("[[0, 1]]")
+    assert parse_edge_list("tree.json") == parse_edge_list(" [[0, 1]]") == [(0, 1)]
+    (tmp_path / "[[0, 2]]").write_text("[[0, 1]]")
+    assert parse_edge_list("[[0, 2]]") == [(0, 2)]  # `[` always means inline
+
+
+DEEP = "[" * 200_000
+LONG = "9" * 5_000
+# Each hostile input as an instance file, a tree file and an inline tree.
+# An inline argument is text already: Python decodes non-UTF-8 argv bytes
+# to lone surrogates, as the third non-UTF-8 entry does by hand.
+HOSTILE = {
+    "nested": (DEEP.encode(), DEEP.encode(), DEEP, "maximum recursion depth"),
+    "long integer": (
+        f'{{"points": [[{LONG}, 0], [4, 1], [1, 3]], "edges": []}}'.encode(),
+        f"[[0, {LONG}]]".encode(),
+        f"[[0, {LONG}]]",
+        "digits",
+    ),
+    "non-UTF-8": (
+        f'{{"points": {THREE_POINTS}, "edges": []}}'.encode() + b"\xff",
+        b"[[0, 1]]\xff",
+        b"[[0, 1]]\xff".decode("utf-8", "surrogateescape"),
+        "not UTF-8 text",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(HOSTILE))
+def test_hostile_input_is_a_format_error(tmp_path, capsys, kind):
+    instance, tree, inline, detail = HOSTILE[kind]
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(instance)
+    tree_file = tmp_path / "tree.json"
+    tree_file.write_bytes(tree)
+    good = tmp_path / "good.json"
+    good.write_text(f'{{"points": {THREE_POINTS}, "edges": [[0, 1], [1, 2]]}}')
+    runs = [
+        (["stats", str(bad)], detail),
+        (["check", str(good), str(tree_file)], detail),
+        (["check", str(good), inline], "invalid edge list JSON"),
+    ]
+    for argv, expected in runs:
+        code, stdout, stderr = run(capsys, *argv)
+        assert (code, stdout) == (1, "")
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
+        assert expected in stderr
 
 
 def test_load_without_edges():
@@ -362,6 +445,19 @@ def test_batch_base_case_sizes(capsys):
         capsys, "batch", "--trials", "4", "--n-range", "3:4", "--seed", "1"
     )
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "n_range, detail",
+    [
+        ("9:5", "bad n-range '9:5'"),
+        ("2:4", "bad n-range '2:4'"),
+        ("a:b", "invalid literal for int() with base 10: 'a'"),
+    ],
+)
+def test_every_bad_n_range_exits_2(capsys, n_range, detail):
+    code, stdout, stderr = run(capsys, "batch", "--n-range", n_range)
+    assert (code, stdout, stderr) == (2, "", f"error: {detail}\n")
 
 
 def test_missing_file_exits_1(capsys):

@@ -149,6 +149,13 @@ def test_certify_rejections():
     assert isinstance(outside, Rejection) and outside.reason == "not-subgraph"
 
 
+def test_a_rejection_prints_its_reason_and_witness():
+    g = complete_graph(convex_position_points(4))
+    crossing = certify_plane_spanning_tree(g, [(0, 2), (1, 3), (0, 1)])
+    assert str(crossing) == "crossing [0, 2]x[1, 3]"
+    assert str(Rejection("wrong-count")) == "wrong-count"
+
+
 def test_certify_reports_a_self_loop_as_not_subgraph():
     g = complete_graph(convex_position_points(4))
     for tree in ([(1, 1)], [(0, 1), (2, 2), (2, 3)]):

@@ -111,7 +111,7 @@ def lazy_split(g, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(builder, "sweep_states", counted)
-        split = find_valid_split(g)
+        split = find_valid_split(g, disconnected_empty_triangles(g).witnesses)
     return split, len(taken)
 
 
@@ -175,7 +175,7 @@ def test_case2_walk_matches_the_sign_based_walk():
     for g in _graphs():
         witnesses = disconnected_empty_triangles(g).witnesses
         seq = full_rotation(g.ps)
-        walk = case2_walk(g, seq, witnesses)
+        walk = case2_walk(seq, witnesses)
         assert walk == reference_case2_walk(seq, witnesses)
         if walk is not None:
             found.add(walk[0])

@@ -88,3 +88,34 @@ def test_the_search_is_iterative_on_a_1000_point_path(tmp_path, capsys):
     dump_instance(g, str(path))
     assert cli.main(["oracle", str(path)]) == 0
     assert capsys.readouterr().out.rstrip().endswith(f"nodes={n - 1}")
+
+
+def _admitted(coords, edges, budget=10**8):
+    g = GeometricGraph(PointSet.from_coords(coords), frozenset(edges))
+    result = has_plane_spanning_tree(g, budget=budget)
+    return result.status, result.tree_edges, result.nodes
+
+
+def test_a_graph_that_cannot_connect_is_refused_before_any_node():
+    hexagon = [(0, 0), (4, 0), (6, 3), (4, 6), (0, 6), (-2, 3)]
+    # An isolated vertex, too few edges, and two disjoint triangles, which
+    # have enough edges and no isolated vertex but still do not connect.
+    isolated = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+    too_few = [(0, 1), (1, 2), (3, 4)]
+    triangles = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
+    for edges in (isolated, too_few, triangles):
+        assert _admitted(hexagon, edges) == (ABSENT, None, 0)
+        assert _admitted(hexagon, edges, budget=0) == (ABSENT, None, 0)
+
+
+def test_one_point_and_two_points_have_their_trees():
+    assert _admitted([(3, 4)], []) == (FOUND, frozenset(), 0)
+    assert _admitted([(3, 4), (5, 1)], [(0, 1)]) == (FOUND, frozenset({(0, 1)}), 1)
+    assert _admitted([(3, 4), (5, 1)], []) == (ABSENT, None, 0)
+
+
+def test_the_oracle_command_on_one_point(tmp_path, capsys):
+    path = tmp_path / "one.json"
+    path.write_text('{"points": [[3, 4]], "edges": []}')
+    assert cli.main(["oracle", str(path)]) == 0
+    assert capsys.readouterr().out == "exists tree=[] nodes=0\n"

@@ -127,3 +127,42 @@ def test_only_the_api_boundary_certifies():
             if refs:
                 callers.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
     assert callers == {"builder.build_plane_tree", "cli.cmd_check", "cli.cmd_oracle"}
+
+
+def _callers(path, matches):
+    """Names of the top-level definitions in path holding a call that
+    `matches`, one entry per call."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [
+        f"{path.stem}.{getattr(top, 'name', '<module>')}"
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and matches(node)
+    ]
+
+
+def test_only_build_plane_tree_counts_the_root_witnesses():
+    # The root count is passed down: the split scan and the crossing walk
+    # take their caller's witnesses, and a side only filters its parent's.
+    def root_count(call):
+        named = getattr(call.func, "id", None) == "disconnected_empty_triangles"
+        return named and all(kw.arg != "inherited" for kw in call.keywords)
+
+    path = Path(planetree.builder.__file__)
+    assert _callers(path, root_count) == ["builder.build_plane_tree"]
+
+
+def test_only_one_helper_decodes_json():
+    # One decoder turns every decoding failure into a format error.
+    def json_loads(call):
+        func = call.func
+        return (
+            isinstance(func, ast.Attribute)
+            and func.attr == "loads"
+            and getattr(func.value, "id", None) == "json"
+        )
+
+    callers = []
+    for path in sorted(Path(planetree.__file__).parent.glob("*.py")):
+        callers += _callers(path, json_loads)
+    assert callers == ["instance_io._decode"]
