@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .convex import convex_tree_edges
-from .geometry import in_convex_position
+from .geometry import hull_order
 from .graphs import (
     Edge,
     GeometricGraph,
@@ -331,11 +331,13 @@ def _fallback_edges(g: GeometricGraph, budget: int) -> frozenset[Edge] | None:
     """Tree edges of g (5 points or more) from an exact decision, or None
     when g has none.
 
-    Points in convex position are decided in O(n^3) by `convex_tree_edges`,
-    which needs no budget; the rest go to the oracle.
+    Points in convex position, the ones the hull order lists in full, are
+    decided in O(n^3) by `convex_tree_edges`, which needs no budget; the
+    rest go to the oracle.
     """
-    if in_convex_position(g.ps):
-        return convex_tree_edges(g)
+    order = hull_order(g.ps)
+    if len(order) == g.n:
+        return convex_tree_edges(g, order)
     return _oracle_edges(g, budget)
 
 

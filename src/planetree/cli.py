@@ -7,12 +7,14 @@ Exit codes are a stable contract:
   3 verdict negative (no tree / certification rejected)
   4 oracle budget exceeded
   5 batch campaign recorded failures
+  141 stdout was closed early (128 + SIGPIPE, as if killed by it)
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -94,7 +96,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         "rotate": cmd_rotate,
     }[args.command]
     try:
-        return handler(args)
+        status = handler(args)
+        sys.stdout.flush()  # so that a closed pipe shows here, not at shutdown
+        return status
+    except BrokenPipeError:
+        # The reader left early, as `planetree build FILE | head -1` may:
+        # nothing failed.  Pointing stdout at devnull keeps the flush at
+        # shutdown from raising again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (InstanceFormatError, GenerationError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -21,16 +21,16 @@ The general problem is NP-complete (Jansen and Woeginger, BIT 1993), so
 
 from __future__ import annotations
 
-from .geometry import hull_order
 from .graphs import Edge, GeometricGraph, canonical_edge
 
 
-def convex_tree_edges(g: GeometricGraph) -> frozenset[Edge] | None:
+def convex_tree_edges(g: GeometricGraph, order: tuple[int, ...]) -> frozenset[Edge] | None:
     """Edges of a plane spanning tree of g, or None when g has none.
 
-    g's points must be in convex position, or ValueError is raised.
+    `order` is `geometry.hull_order(g.ps)`, computed once by the caller.
+    g's points must be in convex position (the order lists them all), or
+    ValueError is raised.
     """
-    order = hull_order(g.ps)
     n = len(order)
     if n != g.n:
         raise ValueError("points are not in convex position")

@@ -1,8 +1,10 @@
 """Exact integer predicates over planar point sets.
 
 Every geometric decision in this package reduces to the sign of an
-integer cross product or to an exact integer direction key, so there is
-no floating point anywhere on a decision path.  Coordinates are bounded
+integer cross product or to an exact integer direction key.  Floats
+appear in one place only: a slope key that pre-orders the angular sort
+in `triangles`, where every order decision is then confirmed by an exact
+integer cross sign (see `COORD_LIMIT`).  Coordinates are bounded
 once, at PointSet construction; after that every predicate is exact by
 construction.  General position is checked in O(n^2): each point must
 see every earlier point in a distinct, nonzero direction, compared as
@@ -25,11 +27,18 @@ from typing import Iterable, Iterator, Sequence
 # intermediate direction with a difference from its pivot is thus a sum
 # of two orientation determinants: within 2**63, which the four box
 # corners reach exactly, one past the signed 64-bit range, so it needs a
-# wider type.  The angular comparator in `triangles` multiplies two
-# differences from one point, an orientation determinant within 2**62,
-# and the general-position keys are gcd-reduced differences, within
-# 2**31 per component.  Python ints never overflow, but the bound keeps
-# instance files portable.
+# wider type.  The angular sort in `triangles` compares two differences
+# from one point by an orientation determinant, within 2**62, and the
+# general-position keys are gcd-reduced differences, within 2**31 per
+# component.  Python ints never overflow, but the bound keeps instance
+# files portable.
+#
+# The angular sort keys each difference (dx, dy) by the float dy / dx.
+# Both components are integers within 2**31 < 2**53, so they are exact
+# doubles, and int / int is correctly rounded.  Rounding is monotone, so
+# an exact s1 < s2 gives fl(s1) <= fl(s2): the float order can only be
+# wrong inside a run of equal keys, and an insertion pass by the exact
+# cross sign orders those runs.
 COORD_LIMIT = 2**30
 
 INTERIOR = "interior"

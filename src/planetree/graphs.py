@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable
 
-from .geometry import PointSet, segments_properly_cross
+from .geometry import PointSet
 
 Edge = tuple[int, int]
 
@@ -105,18 +105,46 @@ def triple_connected(g: GeometricGraph, u: int, v: int, w: int) -> bool:
 
 
 def is_crossing_free(g: GeometricGraph, edge_subset: Iterable[Edge]) -> bool:
-    """True iff no two edges of the subset properly cross (all-pairs scan)."""
+    """True iff no two edges of the subset properly cross (`find_crossing_pair`)."""
     return find_crossing_pair(g.ps, edge_subset) is None
 
 
 def find_crossing_pair(
     ps: PointSet, edges: Iterable[Edge]
 ) -> tuple[Edge, Edge] | None:
-    items = sorted(set(edges))
-    for (a, b), (c, d) in combinations(items, 2):
-        if segments_properly_cross(ps[a], ps[b], ps[c], ps[d]):
-            return (a, b), (c, d)
-    return None
+    """The lexicographically least pair e < f of properly crossing edges, or None.
+
+    The edges are swept by their left x, and each is tested only against
+    the later ones that start strictly before it ends: two segments whose
+    x-ranges meet in at most one x cannot cross in the interior of both.
+    The worst case is still O(m^2).  The cross products are the integer
+    ones of `segments_properly_cross`, written out.
+    """
+    segments = []
+    for e in set(edges):
+        p, q = ps[e[0]], ps[e[1]]
+        if q < p:
+            p, q = q, p
+        segments.append((p.x, q.x, p.y, q.y, e))
+    segments.sort()
+    best = None
+    for k, (ax, bx, ay, by, e) in enumerate(segments):
+        ux, uy = bx - ax, by - ay
+        for cx, dx, cy, dy, f in segments[k + 1:]:
+            if cx >= bx:
+                break
+            o1 = ux * (cy - ay) - uy * (cx - ax)
+            o2 = ux * (dy - ay) - uy * (dx - ax)
+            if not (o1 < 0 < o2 or o2 < 0 < o1):
+                continue
+            vx, vy = dx - cx, dy - cy
+            o3 = vx * (ay - cy) - vy * (ax - cx)
+            o4 = vx * (by - cy) - vy * (bx - cx)
+            if o3 < 0 < o4 or o4 < 0 < o3:
+                pair = (e, f) if e < f else (f, e)
+                if best is None or pair < best:
+                    best = pair
+    return best
 
 
 def traversal_tree(n: int, edges: Iterable[Edge]) -> set[Edge]:

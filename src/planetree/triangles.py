@@ -9,11 +9,14 @@ subgraph's own points, not the parent's.
 Emptiness is tested in O(1) per triple from per-pair counts of the
 points below each segment (Eppstein, Overmars, Rote and Woeginger,
 "Finding minimum area k-gons", DCG 1992).  Every pair's count is filled
-up front from per-point angular orders, in O(n^2 log n).  Enumerating
-all empty triangles then tests every triple, O(n^3) in all; the
-disconnected count tests only the triples that induce at most one
-edge.  On a half-plane subset it can instead filter the parent's
-witnesses, which needs no emptiness test at all.  Each call builds the
+up front from per-point angular orders, in O(n^2 log n).  Each order
+is sorted by float slope and then made exact: runs of equal floats are
+put in order by the integer cross sign (the rounding argument is at
+`geometry.COORD_LIMIT`).  Enumerating all empty triangles then tests
+every triple, O(n^3) in all; the disconnected count tests only the
+triples that induce at most one edge, and sorts only the empty ones.
+On a half-plane subset it can instead filter the parent's witnesses,
+which needs no emptiness test at all.  Each call builds the
 counts it reads and passes them down.  One result is memoised: the
 root count, per point set and edge set (`_empty_triples`), so a
 repeated build of the same graph is warm.  The O(n^4) scan of every
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from functools import cmp_to_key, lru_cache
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable
 
@@ -80,17 +83,22 @@ def _all_empty(tables: Tables) -> list[Triple]:
 def _empty_candidates(tables: Tables, edges: frozenset[Edge]) -> list[Triple]:
     """Sorted empty triples that induce at most one of `edges`.
 
-    Tests only `_candidates`, by the identity of `_all_empty`.
+    Tests only `_candidates`, by the identity of `_all_empty`.  They are
+    drawn over ranks, so each comes out as a < b < c, ready for the
+    identity; only the triples kept are mapped back and sorted.
     """
     order, pos, below = tables
     rank = [0] * len(order)
     for r, i in enumerate(order):
         rank[i] = r
+    ranked_edges = frozenset(
+        (rank[i], rank[j]) if rank[i] < rank[j] else (rank[j], rank[i]) for i, j in edges
+    )
     empty = []
-    for t in _candidates(len(order), edges):
-        a, b, c = sorted((rank[t[0]], rank[t[1]], rank[t[2]]))
+    for a, b, c in _candidates(len(order), ranked_edges):
         if below[a][c] == below[a][b] + below[b][c] + (pos[a][b] < pos[a][c]):
-            empty.append(t)
+            empty.append(tuple(sorted((order[a], order[b], order[c]))))
+    empty.sort()
     return empty
 
 
@@ -110,28 +118,44 @@ def _below_tables(ps: PointSet) -> Tables:
 
     order[r] is the index in ps of the point of rank r.  Every point
     ranked after a lies in the half-plane dx > 0, or dx == 0 and dy > 0,
-    about a, so one cross-product sign orders them by angle, clockwise
-    first; pos[a][c] is c's place in that order.  Then b lies right of
-    a -> c iff pos[a][b] < pos[a][c], and below[a][b] counts the c
-    between a and b with pos[a][c] < pos[a][b], filled by bisect
-    insertion in rank order.  Entries at or before the diagonal are 0.
-    The (x, y) order is a symbolic shear of the x order that keeps every
+    about a, so increasing slope dy / dx (inf for the one point with
+    dx == 0) orders them by angle, clockwise first.  They are sorted by
+    float slope, then runs of equal floats by the exact cross sign, the
+    only places the float order can be wrong; pos[a][c] is c's place in
+    that order.  Then b lies right of a -> c iff pos[a][b] < pos[a][c],
+    and below[a][b] counts the c between a and b with pos[a][c] <
+    pos[a][b], filled by bisect insertion in rank order.  Entries at or
+    before the diagonal are 0.  The (x, y) order is a symbolic shear of the x order that keeps every
     orientation.
     """
     n = len(ps)
     order = sorted(range(n), key=ps.__getitem__)
-    pts = [ps[i] for i in order]
+    xs = [ps[i].x for i in order]
+    ys = [ps[i].y for i in order]
+    inf = float("inf")
     pos: list[list[int]] = []
     below: list[list[int]] = []
-    for a, p in enumerate(pts):
-        px, py = p.x, p.y
-        d = [(q.x - px, q.y - py) for q in pts]
-
-        def clockwise_first(i: int, j: int) -> int:
-            return d[i][1] * d[j][0] - d[i][0] * d[j][1]
-
+    for a in range(n):
+        px, py = xs[a], ys[a]
+        slope = [0.0] * n
+        for c in range(a + 1, n):
+            dx = xs[c] - px
+            slope[c] = (ys[c] - py) / dx if dx else inf
+        ranked = sorted(range(a + 1, n), key=slope.__getitem__)
+        # Only a run of equal float slopes can be out of order (see
+        # `geometry.COORD_LIMIT`); insertion orders it by the cross sign.
+        for k in range(1, len(ranked)):
+            c = ranked[k]
+            j = k
+            while j and slope[ranked[j - 1]] == slope[c]:
+                prev = ranked[j - 1]
+                if (ys[c] - py) * (xs[prev] - px) >= (xs[c] - px) * (ys[prev] - py):
+                    break
+                ranked[j] = prev
+                j -= 1
+            ranked[j] = c
         row = [0] * n
-        for place, c in enumerate(sorted(range(a + 1, n), key=cmp_to_key(clockwise_first))):
+        for place, c in enumerate(ranked):
             row[c] = place
         counts = [0] * n
         seen: list[int] = []
@@ -182,11 +206,12 @@ def disconnected_empty_triangles(
 
 
 def _candidates(n: int, edges: frozenset[Edge]) -> list[Triple]:
-    """Sorted triples of n points with two non-edges at a shared vertex.
+    """Triples of n points with two non-edges at a shared vertex.
 
-    Each triple is built once: at the vertex its two non-edges share
-    when its third pair is an edge, and at its smallest vertex when all
-    three pairs are non-edges.
+    Each triple is built once, as an increasing tuple: at the vertex its
+    two non-edges share when its third pair is an edge, and at its
+    smallest vertex when all three pairs are non-edges.  The list is not
+    sorted; `_empty_candidates` sorts the few it keeps.
     """
     non_adjacent: list[list[int]] = [[] for _ in range(n)]
     for i, j in combinations(range(n), 2):
@@ -200,5 +225,4 @@ def _candidates(n: int, edges: frozenset[Edge]) -> list[Triple]:
                 triples.append((v, a, b))
             elif (a, b) in edges:
                 triples.append((a, v, b) if v < b else (a, b, v))
-    triples.sort()
     return triples

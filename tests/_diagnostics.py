@@ -2,8 +2,10 @@
 
 They exercise single sweep steps, the triangle-crossing lemma behind the
 case-2 walk, and the half-plane emptiness lemma behind inherited
-witness counts, and they draw random graphs on points in convex
-position.  The package itself never calls them.
+witness counts.  They keep the all-pairs crossing scan as the reference
+for the certifier's sweep, draw random graphs on points in convex
+position, and build point sets whose angular sort meets float ties.
+The package itself never calls them.
 """
 
 from __future__ import annotations
@@ -13,8 +15,15 @@ from itertools import combinations
 from typing import Iterable
 
 from planetree.generators import convex_position_points
-from planetree.geometry import INTERIOR, Point, PointSet, point_in_triangle
-from planetree.graphs import GeometricGraph
+from planetree.geometry import (
+    COORD_LIMIT,
+    INTERIOR,
+    Point,
+    PointSet,
+    point_in_triangle,
+    segments_properly_cross,
+)
+from planetree.graphs import Edge, GeometricGraph
 from planetree.rotation import (
     EVENT,
     INTERMEDIATE,
@@ -134,3 +143,41 @@ def random_convex_graph(n: int, density: float, seed: int) -> GeometricGraph:
     rng.shuffle(pts)
     edges = frozenset(e for e in combinations(range(n), 2) if rng.random() < density)
     return GeometricGraph(PointSet(tuple(pts)), edges)
+
+
+def all_pairs_crossing_pair(ps: PointSet, edges: Iterable[Edge]) -> tuple[Edge, Edge] | None:
+    """The reference for `graphs.find_crossing_pair`: every pair of the
+    sorted edges in lexicographic order, the first that properly crosses."""
+    items = sorted(set(edges))
+    for (a, b), (c, d) in combinations(items, 2):
+        if segments_properly_cross(ps[a], ps[b], ps[c], ps[d]):
+            return (a, b), (c, d)
+    return None
+
+
+def slope_tie_point_sets(sy: int) -> list[PointSet]:
+    """Point sets near the box corner (-2**30, -sy * 2**30) whose float
+    slopes from the corner tie.
+
+    Every r in [1, 200) is used once, in a seeded shuffle cut into sets
+    of 20 values.  Each r adds the pair a + (m, sy (m - r)) and
+    a + (m + 1, sy (m + 1 - r)) for its own m in [2**30, 2**31 - 1).  The
+    two slopes from the corner differ by r / (m (m + 1)) < 2**-52, less
+    than two units in the last place of a slope near 1, so they often
+    round to one float.  For sy = -1 the exact order of a tied pair is
+    the reverse of its (x, y) rank order.
+    """
+    rng = random.Random(4_000 + sy)
+    rs = list(range(1, 200))
+    rng.shuffle(rs)
+    corner = Point(-COORD_LIMIT, -sy * COORD_LIMIT)
+    sets = []
+    for start in range(0, len(rs), 20):
+        pts = [corner]
+        for r in rs[start:start + 20]:
+            m = rng.randrange(COORD_LIMIT, 2 * COORD_LIMIT - 1)
+            for k in (m, m + 1):
+                pts.append(Point(corner.x + k, corner.y + sy * (k - r)))
+        rng.shuffle(pts)
+        sets.append(PointSet(tuple(pts)))
+    return sets

@@ -285,6 +285,26 @@ def test_build_exits_4_when_the_oracle_budget_runs_out(tmp_path, capsys, monkeyp
         'flags=["precondition_violated", "oracle_budget_exceeded"]',
     ]
 
+
+def test_a_reader_that_closes_early_is_not_an_input_failure(tmp_path, capsys):
+    # `planetree build FILE | head -1`, with a reader that has already
+    # gone: the build succeeded, so no `error:` line and exit 141
+    # (128 + SIGPIPE), and no complaint from the flush at shutdown.
+    out = tmp_path / "r7.json"
+    run(capsys, "gen", "r-construction", "7", "--out", str(out))
+    env = {**os.environ, "PYTHONPATH": str(Path(planetree.__file__).parents[1])}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "planetree.cli", "build", str(out)],
+            env=env, stdout=write_end, stderr=subprocess.PIPE, text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, "")
+
+
 def test_build_svg_output(tmp_path, capsys):
     out = tmp_path / "c6.json"
     svg = tmp_path / "c6.svg"

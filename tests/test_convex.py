@@ -16,6 +16,7 @@ import planetree.builder
 from planetree.builder import FALLBACK, build_plane_tree
 from planetree.convex import convex_tree_edges
 from planetree.generators import convex_position_points, path_complement, r_construction
+from planetree.geometry import hull_order
 from planetree.graphs import GeometricGraph, PlaneTree, certify_plane_spanning_tree
 from planetree.oracle import has_plane_spanning_tree
 
@@ -23,7 +24,7 @@ DENSITIES = (0.25, 0.45, 0.65, 0.85)
 
 
 def _agrees_with_the_oracle(g):
-    edges = convex_tree_edges(g)
+    edges = convex_tree_edges(g, hull_order(g.ps))
     oracle = has_plane_spanning_tree(g)
     assert (edges is not None) == oracle.exists
     if edges is not None:
@@ -65,7 +66,8 @@ def test_the_recurrence_decides_named_convex_graphs(n):
 
 def test_the_recurrence_rejects_points_not_in_convex_position():
     with pytest.raises(ValueError, match="convex position"):
-        convex_tree_edges(r_construction(8)[1].graph)
+        g = r_construction(8)[1].graph
+        convex_tree_edges(g, hull_order(g.ps))
 
 
 def _no_oracle(*args, **kwargs):

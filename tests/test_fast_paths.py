@@ -1,28 +1,40 @@
-"""Fast empty-triangle tests against the O(n^4) reference scan.
+"""Fast paths against their slow references.
 
 Emptiness is tested in O(1) per triple from per-pair below-segment
 counts, the root count tests only triples with at most one edge, and a
 sweep side filters its parent's witnesses instead of testing anything.
 All must give exactly the triples of the independent area-identity scan
-`brute_empty_triples`, which shares no code with them.
+`brute_empty_triples`, which shares no code with them.  The certifier's
+crossing sweep must return the witness of the all-pairs scan.
 """
 
 import random
 from itertools import combinations
 
 import pytest
+from _diagnostics import all_pairs_crossing_pair, slope_tie_point_sets
 from test_triangles import brute_empty_triples
 
+from planetree.builder import build_plane_tree
 from planetree.generators import (
     convex_position_points,
     path_complement,
     r_construction,
+    random_instance,
     random_point_set,
 )
-from planetree.geometry import COORD_LIMIT, Point, PointSet, in_general_position, orient
+from planetree.geometry import (
+    COORD_LIMIT,
+    Point,
+    PointSet,
+    in_general_position,
+    orient,
+    segments_properly_cross,
+)
 from planetree.graphs import (
     GeometricGraph,
     complete_graph,
+    find_crossing_pair,
     induced_subgraph,
     triple_connected,
 )
@@ -88,7 +100,7 @@ def test_candidates_match_the_set_construction_without_duplicates():
         for density in (0.0, 0.2, 0.5, 0.8, 1.0):
             edges = random_graph(n, density, rng).edges
             built = _candidates(n, edges)
-            assert built == set_built_candidates(n, edges)
+            assert sorted(built) == set_built_candidates(n, edges)
             assert len(set(built)) == len(built)
             all_non_edge += sum(
                 not ({(a, b), (a, c), (b, c)} & edges) for a, b, c in built
@@ -176,12 +188,27 @@ def test_pair_count_engine_matches_the_reference_scan():
     assert checked > 150
 
 
+def _slope_ties_against_rank_order(ps):
+    """Pairs of points ranked after ps's first point whose float slopes
+    from it are equal while their exact angular order is the reverse of
+    their (x, y) rank order: a stable float sort alone gets them wrong."""
+    pts = sorted(ps.points)
+    a, later = pts[0], pts[1:]
+    slopes = [(q.y - a.y) / (q.x - a.x) if q.x != a.x else float("inf") for q in later]
+    return sum(
+        slopes[i] == slopes[j] and orient(a, later[i], later[j]) < 0
+        for i, j in combinations(range(len(later)), 2)
+    )
+
+
 def test_below_tables_match_orientation_signs():
-    """The emptiness tables, checked pair by pair with `orient`."""
+    """The emptiness tables, checked pair by pair with `orient`, also on
+    point sets at the coordinate limit whose float slopes tie."""
+    tie_sets = slope_tie_point_sets(1) + slope_tie_point_sets(-1)
+    assert sum(map(_slope_ties_against_rank_order, tie_sets)) > 50
     checked = 0
-    for k, ps in enumerate(_differential_point_sets()):
-        if k % 8:
-            continue
+    point_sets = [ps for k, ps in enumerate(_differential_point_sets()) if k % 8 == 0]
+    for ps in point_sets + tie_sets:
         order, pos, below = _below_tables(ps)
         pts = [ps[i] for i in order]
         assert pts == sorted(ps.points)
@@ -194,7 +221,7 @@ def test_below_tables_match_orientation_signs():
                     clockwise_first = orient(pts[a], pts[b], pts[c]) > 0
                     assert (pos[a][b] < pos[a][c]) == clockwise_first
         checked += 1
-    assert checked > 15
+    assert checked > 35
 
 
 @pytest.mark.parametrize(
@@ -214,3 +241,44 @@ def test_shared_x_coordinate_with_a_point_inside(coords, empty):
     assert enumerate_empty_triangles(ps) == empty
     edgeless = GeometricGraph(ps, frozenset())
     assert disconnected_empty_triangles(edgeless).witnesses == tuple(empty)
+
+
+def _crossing_cases(rng):
+    """Seeded edge sets: random subsets, which mostly cross, with some
+    pairs given reversed; greedy plane subsets, whose edges share many
+    endpoints and cross nothing; and those with one crossing edge added.
+    Small boxes put many points on one x, so many segments are vertical."""
+    for n in range(2, 15):
+        for box in (5, 12, 1000, COORD_LIMIT):
+            ps = random_point_set(min(n, 12) if box == 5 else n, rng, box=box)
+            pairs = sorted(complete_graph(ps).edges)
+            for density in (0.1, 0.3, 0.6, 1.0):
+                subset = [e for e in pairs if rng.random() < density]
+                yield ps, [(j, i) if rng.random() < 0.3 else (i, j) for i, j in subset]
+            rng.shuffle(pairs)
+            plane = []
+            for a, b in pairs:
+                if not any(segments_properly_cross(ps[a], ps[b], ps[c], ps[d]) for c, d in plane):
+                    plane.append((a, b))
+            yield ps, plane
+            chords = [e for e in pairs if e not in plane]
+            if chords:
+                yield ps, plane + [rng.choice(chords)]
+
+
+def test_the_crossing_sweep_returns_the_all_pairs_witness():
+    rng = random.Random(1313)
+    crossing = free = vertical = 0
+    for ps, edges in _crossing_cases(rng):
+        expected = all_pairs_crossing_pair(ps, edges)
+        assert find_crossing_pair(ps, edges) == expected
+        crossing += expected is not None
+        free += expected is None
+        vertical += any(ps[i].x == ps[j].x for i, j in edges)
+    for n in range(5, 40, 3):
+        g = random_instance(n, seed=90_001 + n).graph
+        tree = build_plane_tree(g).tree.tree_edges
+        assert find_crossing_pair(g.ps, tree) is None
+        assert all_pairs_crossing_pair(g.ps, tree) is None
+        free += 1
+    assert crossing > 150 and free > 80 and vertical > 50

@@ -14,11 +14,17 @@ The interval recurrence for convex position reads the points in hull
 order, which the mirror reverses and the other maps may start at a
 different vertex; its verdict must not change, and a translation, which
 keeps the hull order, must keep its witness.
+
+Point sets at the coordinate limit whose float slopes tie go through
+every map that keeps them inside the box.
 """
+
+import random
+from itertools import combinations
 
 import pytest
 
-from _diagnostics import random_convex_graph
+from _diagnostics import random_convex_graph, slope_tie_point_sets
 from planetree.builder import build_plane_tree
 from planetree.convex import convex_tree_edges
 from planetree.generators import path_complement, r_construction, random_instance
@@ -101,6 +107,40 @@ def test_orientation_maps_keep_triangles_witnesses_flags_and_certifiability(name
     assert violated >= 5
 
 
+def _slope_tie_graphs():
+    for sy in (1, -1):
+        for k, ps in enumerate(slope_tie_point_sets(sy)):
+            rng = random.Random(72_001 + 100 * sy + k)
+            pairs = combinations(range(len(ps)), 2)
+            yield GeometricGraph(ps, frozenset(e for e in pairs if rng.random() < 0.5))
+
+
+def _in_the_box(g, f):
+    return all(abs(c) <= COORD_LIMIT for p in g.ps for c in f(p.x, p.y))
+
+
+def test_float_slope_ties_keep_triangles_and_witnesses_under_every_map():
+    # Point sets at the coordinate limit whose angular sorts meet float
+    # ties.  Builds are left out: their witnesses put them far outside
+    # the theorem, where the oracle would decide.  A map that leaves
+    # the coordinate box is skipped for that set.
+    mapped = set()
+    for g in _slope_tie_graphs():
+        empty = enumerate_empty_triangles(g.ps)
+        witnesses = disconnected_empty_triangles(g).witnesses
+        maps = dict(MAPS)
+        for k, (tx, ty) in enumerate(_translations(g)):
+            maps[f"translate{k}"] = lambda x, y, tx=tx, ty=ty: (x + tx, y + ty)
+        for name, f in sorted(maps.items()):
+            if not _in_the_box(g, f):
+                continue
+            image = _mapped(g, f)
+            assert enumerate_empty_triangles(image.ps) == empty, name
+            assert disconnected_empty_triangles(image).witnesses == witnesses, name
+            mapped.add(name)
+    assert mapped >= {"rotate90", "mirror", "translate1"}
+
+
 def _convex_instances():
     for t in range(40):
         yield random_convex_graph(4 + t % 6, (0.3, 0.5, 0.7, 0.9)[t % 4], seed=71_001 + t)
@@ -111,13 +151,14 @@ def _convex_instances():
 def test_the_convex_decision_keeps_its_verdict_under_every_map():
     trees = 0
     for g in _convex_instances():
-        edges = convex_tree_edges(g)
+        edges = convex_tree_edges(g, hull_order(g.ps))
         trees += edges is not None
         for tx, ty in _translations(g):
-            assert convex_tree_edges(_mapped(g, lambda x, y: (x + tx, y + ty))) == edges
+            image = _mapped(g, lambda x, y: (x + tx, y + ty))
+            assert convex_tree_edges(image, hull_order(image.ps)) == edges
         for name, f in sorted(MAPS.items()):
             image = _mapped(g, f)
-            image_edges = convex_tree_edges(image)
+            image_edges = convex_tree_edges(image, hull_order(image.ps))
             assert (image_edges is None) == (edges is None), name
             if image_edges is not None:
                 # Indices are kept, so the image's tree is a tree of g too.
