@@ -6,7 +6,8 @@ size condition (disconnected empty triangles <= side size - 3).  The
 sweep checks each state it yields, so the scan checks exactly the steps
 it visits; the rest of the turn is never computed.  Each side is solved
 recursively and the two side trees are merged across the split line.
-Sizes 3 and 4 go to the exhaustive oracle directly.
+A side of 3 or 4 points is a leaf: `_leaf_edges` decides it in closed
+form from the parent's edge set, with no induced graph and no oracle.
 
 When no split exists (the size condition fails) or a side has no tree,
 the level falls back to an exact decision on its whole graph.  Points
@@ -30,10 +31,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable
+from itertools import combinations
+from typing import Collection, Iterable
 
 from .convex import convex_tree_edges
-from .geometry import hull_order
+from .geometry import hull_order, segments_properly_cross
 from .graphs import (
     Edge,
     GeometricGraph,
@@ -293,10 +295,9 @@ def _build(
 ) -> frozenset[Edge] | None:
     """Edges of a plane spanning tree of g, or None; witnesses are g's
     disconnected empty triangles."""
-    report.max_depth = max(report.max_depth, depth)
     if g.n <= 4:
-        report.trace.append((g.n, BASE))
-        return _oracle_edges(g, budget)
+        return _leaf(g, range(g.n), report, depth)
+    report.max_depth = max(report.max_depth, depth)
 
     split = find_valid_split(g, witnesses)
     if split is None:
@@ -306,21 +307,66 @@ def _build(
         return _fallback_edges(g, budget)
 
     report.trace.append((g.n, split.case_tag))
-    g_left = induced_subgraph(g, split.left_indices)
-    g_right = induced_subgraph(g, split.right_indices)
-    # Each side is a closed half-plane of g, so it inherits g's witnesses.
-    w_left = disconnected_empty_triangles(g_left, inherited=witnesses).witnesses
-    w_right = disconnected_empty_triangles(g_right, inherited=witnesses).witnesses
-    left_edges = _build(g_left, w_left, report, depth + 1, budget)
-    right_edges = _build(g_right, w_right, report, depth + 1, budget)
+    left_edges = _side_edges(g, split.left_indices, witnesses, report, depth + 1, budget)
+    right_edges = _side_edges(g, split.right_indices, witnesses, report, depth + 1, budget)
     if left_edges is None or right_edges is None:
         # The sides were chosen to satisfy the size condition, so this
         # cannot happen unless something upstream is broken.
         report.theorem_gap_fallback_used = True
         return _fallback_edges(g, budget)
-    return merge_side_trees(
-        split, g_left.to_parent(left_edges), g_right.to_parent(right_edges)
-    )
+    return merge_side_trees(split, left_edges, right_edges)
+
+
+def _side_edges(
+    g: GeometricGraph,
+    side: frozenset[int],
+    witnesses: tuple[Triple, ...],
+    report: BuildReport,
+    depth: int,
+    budget: int,
+) -> Iterable[Edge] | None:
+    """Tree edges of one closed side of g, in g's indices, or None.
+
+    A leaf is decided in place.  A larger side is built on its induced
+    graph, which inherits g's witnesses since it is a closed half-plane.
+    """
+    if len(side) <= 4:
+        return _leaf(g, side, report, depth)
+    sub = induced_subgraph(g, side)
+    sub_witnesses = disconnected_empty_triangles(sub, inherited=witnesses).witnesses
+    edges = _build(sub, sub_witnesses, report, depth, budget)
+    return None if edges is None else sub.to_parent(edges)
+
+
+def _leaf(
+    g: GeometricGraph, side: Collection[int], report: BuildReport, depth: int
+) -> frozenset[Edge] | None:
+    """Record a leaf of 3 or 4 points in the report and decide it."""
+    report.max_depth = max(report.max_depth, depth)
+    report.trace.append((len(side), BASE))
+    return _leaf_edges(g, side)
+
+
+def _leaf_edges(g: GeometricGraph, side: Iterable[int]) -> frozenset[Edge] | None:
+    """Tree edges of g on the 3 or 4 points `side`, in g's indices, or
+    None when they have none.
+
+    The tree is the oracle's on the induced graph, found in closed form:
+    the first (k-1)-subset of the side's edges, in sorted order, that
+    covers all k points and has no properly crossing pair.  Covering k
+    points with k-1 edges, for k <= 4, leaves no room for a cycle.
+    """
+    side = sorted(side)
+    k = len(side)
+    edges = [e for e in combinations(side, 2) if e in g.edges]
+    ps = g.ps
+    for tree in combinations(edges, k - 1):
+        if len({v for e in tree for v in e}) == k and not any(
+            segments_properly_cross(ps[a], ps[b], ps[c], ps[d])
+            for (a, b), (c, d) in combinations(tree, 2)
+        ):
+            return frozenset(tree)
+    return None
 
 
 class _OracleBudgetSpent(Exception):
@@ -332,22 +378,13 @@ def _fallback_edges(g: GeometricGraph, budget: int) -> frozenset[Edge] | None:
     when g has none.
 
     Points in convex position, the ones the hull order lists in full, are
-    decided in O(n^3) by `convex_tree_edges`, which needs no budget; the
-    rest go to the oracle.
+    decided in O(n^3) by `convex_tree_edges`, which needs no budget.  The
+    rest go to the oracle, whose edges come back uncertified; a spent
+    budget raises _OracleBudgetSpent.
     """
     order = hull_order(g.ps)
     if len(order) == g.n:
         return convex_tree_edges(g, order)
-    return _oracle_edges(g, budget)
-
-
-def _oracle_edges(g: GeometricGraph, budget: int) -> frozenset[Edge] | None:
-    """The oracle's tree edges, uncertified, or None when g has none.
-
-    The oracle decides the base cases of 3 and 4 points and the fallbacks
-    on points not in convex position.  A spent budget raises
-    _OracleBudgetSpent.
-    """
     result = has_plane_spanning_tree(g, budget=budget)
     if result.status == BUDGET_EXCEEDED:
         raise _OracleBudgetSpent

@@ -111,11 +111,13 @@ def test_spent_oracle_budget_is_not_reported_as_absence():
     assert spent.tree is None
     assert spent.flags() == ["precondition_violated", "oracle_budget_exceeded"]
     assert spent.to_text().endswith('flags=["precondition_violated", "oracle_budget_exceeded"]')
-    # A base case that runs out stops the build without a fallback.
-    base = build_plane_tree(r_construction(9)[1].graph, oracle_budget=1)
-    assert base.tree is None
-    assert base.flags() == ["oracle_budget_exceeded"]
-    assert base.trace[-1] == (4, BASE)
+    # Leaves are decided in closed form, so no budget reaches them.
+    g = r_construction(9)[1].graph
+    leaves = build_plane_tree(g, oracle_budget=1)
+    assert leaves.tree == build_plane_tree(g).tree
+    assert isinstance(leaves.tree, PlaneTree)
+    assert leaves.flags() == []
+    assert leaves.trace[-1] == (4, BASE)
     proven = build_plane_tree(path_complement(8).graph)
     assert proven.tree is None and proven.flags() == ["precondition_violated"]
 
@@ -127,6 +129,24 @@ def test_a_convex_fallback_spends_no_oracle_budget():
     assert convex.tree is None
     assert convex.trace == [(12, FALLBACK)]
     assert convex.flags() == ["precondition_violated"]
+
+
+def test_the_theorem_path_never_calls_the_oracle(monkeypatch):
+    # Inside the theorem every side splits or is a closed-form leaf, so
+    # the exhaustive search is reached only by fallbacks.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle ran on the theorem path")
+
+    monkeypatch.setattr(planetree.builder, "has_plane_spanning_tree", refuse)
+    graphs = [
+        random_instance(5 + t % 8, seed=1_000_003 + t, mode="budgeted").graph
+        for t in range(160)
+    ]
+    graphs += [r_construction(n)[1].graph for n in range(6, 30)]
+    for g in graphs:
+        report = build_plane_tree(g)
+        assert isinstance(report.tree, PlaneTree)
+        assert report.flags() == []
 
 
 def test_merge_with_single_shared_vertex():
@@ -370,11 +390,11 @@ def run(label, n):
         print(label, "returned")
 
 
-oracle_edges, merge = builder._oracle_edges, builder.merge_side_trees
-builder._oracle_edges = lambda g, budget: frozenset()  # never a spanning tree
+leaf_edges, merge = builder._leaf_edges, builder.merge_side_trees
+builder._leaf_edges = lambda g, side: frozenset()  # never a spanning tree
 for n in (4, 8):
     run(n, n)
-builder._oracle_edges = oracle_edges
+builder._leaf_edges = leaf_edges
 # A merge that loses one edge of every joined tree.
 builder.merge_side_trees = lambda *args: frozenset(sorted(merge(*args))[1:])
 run("lossy-merge", 8)
@@ -383,7 +403,7 @@ run("lossy-merge", 8)
 
 def test_uncertifiable_edges_raise_under_python_O():
     # Levels below the root certify nothing, so every bad tree, whether
-    # from a base case or from a merge, is caught by the root gate.
+    # from a leaf or from a merge, is caught by the root gate.
     env = {**os.environ, "PYTHONPATH": str(Path(planetree.__file__).parents[1])}
     out = subprocess.run(
         [sys.executable, "-O", "-c", SOUNDNESS_UNDER_O],
