@@ -354,7 +354,9 @@ def _leaf_edges(g: GeometricGraph, side: Iterable[int]) -> frozenset[Edge] | Non
     The tree is the oracle's on the induced graph, found in closed form:
     the first (k-1)-subset of the side's edges, in sorted order, that
     covers all k points and has no properly crossing pair.  Covering k
-    points with k-1 edges, for k <= 4, leaves no room for a cycle.
+    points with k-1 edges, for k <= 4, leaves no room for a cycle.  Only
+    vertex-disjoint pairs are tested: edges that share an endpoint never
+    cross properly.
     """
     side = sorted(side)
     k = len(side)
@@ -362,7 +364,7 @@ def _leaf_edges(g: GeometricGraph, side: Iterable[int]) -> frozenset[Edge] | Non
     ps = g.ps
     for tree in combinations(edges, k - 1):
         if len({v for e in tree for v in e}) == k and not any(
-            segments_properly_cross(ps[a], ps[b], ps[c], ps[d])
+            len({a, b, c, d}) == 4 and segments_properly_cross(ps[a], ps[b], ps[c], ps[d])
             for (a, b), (c, d) in combinations(tree, 2)
         ):
             return frozenset(tree)

@@ -17,7 +17,6 @@ from itertools import combinations
 
 from .geometry import (
     INTERIOR,
-    GeneralPositionError,
     Point,
     PointSet,
     _direction_clash,
@@ -67,7 +66,7 @@ def convex_position_points(n: int, scale: int = DEFAULT_SCALE) -> PointSet:
         )
         try:
             ps = PointSet(pts)
-        except (GeneralPositionError, ValueError):
+        except ValueError:
             radius *= 2
             continue
         # The hull runs counter-clockwise from its lowest point k: index
@@ -121,7 +120,7 @@ def r_construction(n: int, scale: int = DEFAULT_SCALE) -> tuple[Instance, Instan
         )
         try:
             ps = PointSet(hull.points + (w,))
-        except (GeneralPositionError, ValueError):
+        except ValueError:
             continue
         if point_in_triangle(w, a, b, c) != INTERIOR:
             continue

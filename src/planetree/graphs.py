@@ -68,17 +68,18 @@ def induced_subgraph(g: GeometricGraph, subset: Iterable[int]) -> GeometricGraph
     """Subgraph on `subset` with exactly the edges of g inside it.
 
     Local index k corresponds to parent index parent_map[k]; the subset
-    is sorted, so the mapping is deterministic.  Like `PointSet.subset`,
-    the result is not validated again: g's edges are integer, canonical
-    and in range, and re-indexing by the increasing `local` keeps them so.
+    is sorted, so the mapping is deterministic.  The edges are read from
+    the subset's own pairs, not from a scan of g's edges.  Like
+    `PointSet.subset`, the result is not validated again: the pairs are
+    canonical and in range because the order is increasing.
     """
     order = sorted(set(subset))
     if not order:
         raise ValueError("subset must contain at least one index")
     sub_ps = g.ps.subset(order)
-    local = {parent_idx: k for k, parent_idx in enumerate(order)}
     sub_edges = frozenset(
-        (local[i], local[j]) for i, j in g.edges if i in local and j in local
+        (a, b) for a, b in combinations(range(len(order)), 2)
+        if (order[a], order[b]) in g.edges
     )
     sub = object.__new__(GeometricGraph)
     for name, value in (

@@ -13,8 +13,9 @@ up front from per-point angular orders, in O(n^2 log n).  Each order
 is sorted by float slope and then made exact: runs of equal floats are
 put in order by the integer cross sign (the rounding argument is at
 `geometry.COORD_LIMIT`).  Enumerating all empty triangles then tests
-every triple, O(n^3) in all; the disconnected count tests only the
-triples that induce at most one edge, and sorts only the empty ones.
+every triple, O(n^3) in all; the disconnected count draws only the
+triples that induce at most one edge, tests each as it is drawn, and
+keeps and sorts only the empty ones.
 On a half-plane subset it can instead filter the parent's witnesses,
 which needs no emptiness test at all.  Each call builds the
 counts it reads and passes them down.  One result is memoised: the
@@ -83,21 +84,33 @@ def _all_empty(tables: Tables) -> list[Triple]:
 def _empty_candidates(tables: Tables, edges: frozenset[Edge]) -> list[Triple]:
     """Sorted empty triples that induce at most one of `edges`.
 
-    Tests only `_candidates`, by the identity of `_all_empty`.  They are
-    drawn over ranks, so each comes out as a < b < c, ready for the
-    identity; only the triples kept are mapped back and sorted.
+    Such a triple has two non-edges at a shared vertex v, so it is drawn
+    once from a pair a < b of v's non-neighbours: at v < a when all
+    three pairs are non-edges, and otherwise only when ab is an edge.
+    The draw runs over ranks, and each triple is tested by the identity
+    of `_all_empty` as it is drawn; only the triples kept are mapped
+    back and sorted.
     """
     order, pos, below = tables
-    rank = [0] * len(order)
+    n = len(order)
+    rank = [0] * n
     for r, i in enumerate(order):
         rank[i] = r
-    ranked_edges = frozenset(
-        (rank[i], rank[j]) if rank[i] < rank[j] else (rank[j], rank[i]) for i, j in edges
-    )
+    adjacent = [[False] * n for _ in range(n)]  # rows indexed by rank
+    for i, j in edges:
+        adjacent[rank[i]][rank[j]] = adjacent[rank[j]][rank[i]] = True
     empty = []
-    for a, b, c in _candidates(len(order), ranked_edges):
-        if below[a][c] == below[a][b] + below[b][c] + (pos[a][b] < pos[a][c]):
-            empty.append(tuple(sorted((order[a], order[b], order[c]))))
+    for v, row in enumerate(adjacent):
+        others = [u for u, linked in enumerate(row) if not linked and u != v]
+        for a, b in combinations(others, 2):
+            if v < a:
+                x, y, z = v, a, b
+            elif adjacent[a][b]:
+                x, y, z = (a, v, b) if v < b else (a, b, v)
+            else:
+                continue
+            if below[x][z] == below[x][y] + below[y][z] + (pos[x][y] < pos[x][z]):
+                empty.append(tuple(sorted((order[x], order[y], order[z]))))
     empty.sort()
     return empty
 
@@ -203,26 +216,3 @@ def disconnected_empty_triangles(
             if u in local and v in local and w in local
         )
     return DisconnectedTriangles(len(witnesses), witnesses)
-
-
-def _candidates(n: int, edges: frozenset[Edge]) -> list[Triple]:
-    """Triples of n points with two non-edges at a shared vertex.
-
-    Each triple is built once, as an increasing tuple: at the vertex its
-    two non-edges share when its third pair is an edge, and at its
-    smallest vertex when all three pairs are non-edges.  The list is not
-    sorted; `_empty_candidates` sorts the few it keeps.
-    """
-    non_adjacent: list[list[int]] = [[] for _ in range(n)]
-    for i, j in combinations(range(n), 2):
-        if (i, j) not in edges:
-            non_adjacent[i].append(j)
-            non_adjacent[j].append(i)
-    triples: list[Triple] = []
-    for v, others in enumerate(non_adjacent):
-        for a, b in combinations(others, 2):  # a < b
-            if v < a:
-                triples.append((v, a, b))
-            elif (a, b) in edges:
-                triples.append((a, v, b) if v < b else (a, b, v))
-    return triples

@@ -9,6 +9,7 @@ crossing sweep must return the witness of the all-pairs scan.
 """
 
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -40,8 +41,9 @@ from planetree.graphs import (
 )
 from planetree.rotation import full_rotation
 from planetree.triangles import (
+    _all_empty,
     _below_tables,
-    _candidates,
+    _empty_candidates,
     disconnected_empty_triangles,
     enumerate_empty_triangles,
 )
@@ -59,13 +61,35 @@ def random_graph(n, density, rng):
 
 def test_root_count_matches_reference_across_densities():
     rng = random.Random(2024)
-    for n in range(3, 11):
+    edgeless_witnesses = 0
+    for n in range(3, 15):
         for density in (0.0, 0.2, 0.4, 0.6, 0.8, 1.0):
             for _ in range(3):
                 g = random_graph(n, density, rng)
                 found = disconnected_empty_triangles(g)
                 assert found.witnesses == reference_witnesses(g)
                 assert found.count == len(found.witnesses)
+                edgeless_witnesses += sum(
+                    not ({(a, b), (a, c), (b, c)} & g.edges) for a, b, c in found.witnesses
+                )
+    # The draw takes triples that induce no edge by their own rule (at
+    # their smallest vertex), so that rule must be well exercised too.
+    assert edgeless_witnesses > 100
+
+
+def test_the_root_count_peak_memory_stays_near_its_result():
+    """The candidates are tested as they are drawn: the peak memory of a
+    root count stays within a small multiple of the witnesses it returns,
+    also on an edgeless graph, where every triple is a candidate."""
+    tables = _below_tables(random_point_set(120, random.Random(5)))
+    tracemalloc.start()
+    try:
+        found = _empty_candidates(tables, frozenset())
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert found == _all_empty(tables)
+    assert peak < 3 * held
 
 
 def test_root_count_matches_reference_on_families():
@@ -77,35 +101,6 @@ def test_root_count_matches_reference_on_families():
         for h in (g, edgeless, complete_graph(g.ps)):
             assert disconnected_empty_triangles(h).witnesses == reference_witnesses(h)
 
-
-
-def set_built_candidates(n, edges):
-    """The earlier candidate construction: every vertex's pairs of
-    non-neighbours as sorted tuples, deduplicated by a set."""
-    non_adjacent = [[] for _ in range(n)]
-    for i, j in combinations(range(n), 2):
-        if (i, j) not in edges:
-            non_adjacent[i].append(j)
-            non_adjacent[j].append(i)
-    return sorted(
-        {tuple(sorted((v, a, b))) for v, others in enumerate(non_adjacent)
-         for a, b in combinations(others, 2)}
-    )
-
-
-def test_candidates_match_the_set_construction_without_duplicates():
-    rng = random.Random(606)
-    all_non_edge = 0
-    for n in range(3, 15):
-        for density in (0.0, 0.2, 0.5, 0.8, 1.0):
-            edges = random_graph(n, density, rng).edges
-            built = _candidates(n, edges)
-            assert sorted(built) == set_built_candidates(n, edges)
-            assert len(set(built)) == len(built)
-            all_non_edge += sum(
-                not ({(a, b), (a, c), (b, c)} & edges) for a, b, c in built
-            )
-    assert all_non_edge > 100
 
 def test_sweep_sides_inherit_the_root_witnesses():
     rng = random.Random(77)
