@@ -265,10 +265,13 @@ def build_plane_tree(
     theorem_gap_fallback_used marks the impossible middle case (size
     condition met but no split found) and signals a bug.
     oracle_budget_exceeded means an oracle call ran out of budget: the
-    build stops there without a tree, which proves nothing about g.
+    build stops there without a tree, which proves nothing about g.  An
+    oracle_budget below 0 raises ValueError before any work.
     """
     if g.n < 3:
         raise ValueError("need at least 3 points")
+    if oracle_budget < 0:
+        raise ValueError(f"oracle budget must be at least 0, got {oracle_budget}")
     report = BuildReport(tree=None)
     witnesses = disconnected_empty_triangles(g).witnesses
     if len(witnesses) > g.n - 3:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 from .geometry import PointSet
 
@@ -115,23 +115,41 @@ def find_crossing_pair(
 ) -> tuple[Edge, Edge] | None:
     """The lexicographically least pair e < f of properly crossing edges, or None.
 
+    The least pair is kept as `crossing_pairs` finds them, with no sort
+    of the edges: most trees the certifier sees cross nothing, and there
+    the sort would be pure cost.
+    """
+    items = list(edges)
+    least = None
+    for i, j in crossing_pairs(ps, items):
+        e, f = items[i], items[j]
+        pair = (e, f) if e < f else (f, e)
+        if least is None or pair < least:
+            least = pair
+    return least
+
+
+def crossing_pairs(ps: PointSet, edges: Sequence[Edge]) -> Iterator[tuple[int, int]]:
+    """The positions (i, j), i < j, of every properly crossing pair of
+    `edges`, each pair once.
+
     The edges are swept by their left x, and each is tested only against
     the later ones that start strictly before it ends: two segments whose
     x-ranges meet in at most one x cannot cross in the interior of both.
     The worst case is still O(m^2).  The cross products are the integer
     ones of `segments_properly_cross`, written out.
     """
+    points = ps.points
     segments = []
-    for e in set(edges):
-        p, q = ps[e[0]], ps[e[1]]
+    for k, (i, j) in enumerate(edges):
+        p, q = points[i], points[j]
         if q < p:
             p, q = q, p
-        segments.append((p.x, q.x, p.y, q.y, e))
+        segments.append((p.x, q.x, p.y, q.y, k))
     segments.sort()
-    best = None
-    for k, (ax, bx, ay, by, e) in enumerate(segments):
+    for s, (ax, bx, ay, by, e) in enumerate(segments):
         ux, uy = bx - ax, by - ay
-        for cx, dx, cy, dy, f in segments[k + 1:]:
+        for cx, dx, cy, dy, f in segments[s + 1:]:
             if cx >= bx:
                 break
             o1 = ux * (cy - ay) - uy * (cx - ax)
@@ -142,10 +160,7 @@ def find_crossing_pair(
             o3 = vx * (ay - cy) - vy * (ax - cx)
             o4 = vx * (by - cy) - vy * (bx - cx)
             if o3 < 0 < o4 or o4 < 0 < o3:
-                pair = (e, f) if e < f else (f, e)
-                if best is None or pair < best:
-                    best = pair
-    return best
+                yield (e, f) if e < f else (f, e)
 
 
 def traversal_tree(n: int, edges: Iterable[Edge]) -> set[Edge]:

@@ -7,6 +7,9 @@ instances tractable: an edge incompatible with the chosen set (crossing
 or cycle-forming) is never branched on, and a branch dies as soon as
 the surviving remaining edges cannot reconnect the current components.
 Budget exhaustion is a distinct outcome, never reported as absence.
+The table of crossing edge pairs comes from `graphs.crossing_pairs`, the
+exact sweep that certification runs, and is built only once the edges
+have passed the connectivity test.
 
 The search is iterative, so its depth (n - 1 chosen edges) is not bound
 by Python's recursion limit.  It returns the chosen edges uncertified:
@@ -18,8 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geometry import segments_properly_cross
-from .graphs import Edge, GeometricGraph
+from .graphs import Edge, GeometricGraph, crossing_pairs
 
 DEFAULT_BUDGET = 10**8
 
@@ -45,7 +47,10 @@ def has_plane_spanning_tree(
     g: GeometricGraph, budget: int = DEFAULT_BUDGET
 ) -> OracleResult:
     """Decide existence with the tree's edges; fixed edge order makes the
-    edges deterministic across runs.  The edges are not certified."""
+    edges deterministic across runs.  The edges are not certified.  A
+    budget below 0 raises ValueError."""
+    if budget < 0:
+        raise ValueError(f"oracle budget must be at least 0, got {budget}")
     n = g.n
     if n == 1:  # `_usable` reads a single component as unreachable
         return OracleResult(FOUND, frozenset(), 0)
@@ -56,15 +61,12 @@ def has_plane_spanning_tree(
     if not usable:
         return OracleResult(ABSENT, None, 0)
 
-    # crossers[e] is a bitmask of edges properly crossing edge e.
+    # crossers[e] is a bitmask of the later edges that properly cross
+    # edge e, from the certifier's sweep.  Each level draws only from the
+    # edges after its pick, so a bit for an earlier edge is never read.
     crossers = [0] * m
-    for a in range(m):
-        pa, qa = edges[a]
-        for b in range(a + 1, m):
-            pb, qb = edges[b]
-            if segments_properly_cross(g.ps[pa], g.ps[qa], g.ps[pb], g.ps[qb]):
-                crossers[a] |= 1 << b
-                crossers[b] |= 1 << a
+    for a, b in crossing_pairs(g.ps, edges):
+        crossers[a] |= 1 << b
 
     status, chosen, nodes = _search(edges, crossers, budget, parent, usable)
     tree_edges = frozenset(edges[e] for e in chosen) if status == FOUND else None
@@ -83,7 +85,7 @@ def _search(edges, crossers, budget, parent, usable) -> tuple[str, list[int], in
     when FOUND) and the nodes visited.  `usable` is the root frame's."""
     n = len(parent)
     chosen: list[int] = []
-    banned = 0  # bitmask of edges crossing something chosen
+    banned = 0  # bitmask of edges that cross a chosen edge before them
     nodes = 0
     # Each frame holds a level's usable edges, the position of its next
     # pick and the undo data of the pick explored below it.

@@ -138,8 +138,8 @@ def _below_tables(ps: PointSet) -> Tables:
     that order.  Then b lies right of a -> c iff pos[a][b] < pos[a][c],
     and below[a][b] counts the c between a and b with pos[a][c] <
     pos[a][b], filled by bisect insertion in rank order.  Entries at or
-    before the diagonal are 0.  The (x, y) order is a symbolic shear of the x order that keeps every
-    orientation.
+    before the diagonal are 0.  The (x, y) order is a symbolic shear of
+    the x order that keeps every orientation.
     """
     n = len(ps)
     order = sorted(range(n), key=ps.__getitem__)

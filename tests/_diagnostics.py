@@ -3,8 +3,9 @@
 They exercise single sweep steps, the triangle-crossing lemma behind the
 case-2 walk, and the half-plane emptiness lemma behind inherited
 witness counts.  They keep the all-pairs crossing scan as the reference
-for the certifier's sweep, draw random graphs on points in convex
-position, and build point sets whose angular sort meets float ties.
+for the crossing sweep that certification and the oracle share, draw
+random graphs on points in convex position, and build point sets whose
+angular sort meets float ties.
 The package itself never calls them.
 """
 
@@ -153,6 +154,16 @@ def all_pairs_crossing_pair(ps: PointSet, edges: Iterable[Edge]) -> tuple[Edge, 
         if segments_properly_cross(ps[a], ps[b], ps[c], ps[d]):
             return (a, b), (c, d)
     return None
+
+
+def all_pairs_crossing_positions(ps: PointSet, edges: list[Edge]) -> list[tuple[int, int]]:
+    """The reference for `graphs.crossing_pairs`: the positions (i, j),
+    i < j, of every pair of the edges that properly crosses."""
+    return [
+        (i, j)
+        for (i, (a, b)), (j, (c, d)) in combinations(enumerate(edges), 2)
+        if segments_properly_cross(ps[a], ps[b], ps[c], ps[d])
+    ]
 
 
 def slope_tie_point_sets(sy: int) -> list[PointSet]:

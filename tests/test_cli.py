@@ -377,6 +377,16 @@ def test_oracle_exit_codes(tmp_path, capsys):
     assert code == 4 and "budget-exceeded" in stdout
 
 
+def test_a_negative_oracle_budget_exits_2(tmp_path, capsys):
+    c5 = tmp_path / "c5.json"
+    run(capsys, "gen", "complete", "5", "--out", str(c5))
+    code, stdout, stderr = run(capsys, "oracle", str(c5), "--budget", "-1")
+    assert (code, stdout) == (2, "")
+    assert stderr == "error: oracle budget must be at least 0, got -1\n"
+    code, stdout, _ = run(capsys, "oracle", str(c5), "--budget", "0")
+    assert (code, stdout) == (4, "budget-exceeded nodes=1\n")
+
+
 ORACLE_CHECKS_UNDER_O = """
 import sys
 from planetree import cli

@@ -4,8 +4,9 @@ Emptiness is tested in O(1) per triple from per-pair below-segment
 counts, the root count tests only triples with at most one edge, and a
 sweep side filters its parent's witnesses instead of testing anything.
 All must give exactly the triples of the independent area-identity scan
-`brute_empty_triples`, which shares no code with them.  The certifier's
-crossing sweep must return the witness of the all-pairs scan.
+`brute_empty_triples`, which shares no code with them.  The crossing
+sweep must find the pairs of the all-pairs scan, and the certifier must
+return that scan's witness.
 """
 
 import random
@@ -13,7 +14,11 @@ import tracemalloc
 from itertools import combinations
 
 import pytest
-from _diagnostics import all_pairs_crossing_pair, slope_tie_point_sets
+from _diagnostics import (
+    all_pairs_crossing_pair,
+    all_pairs_crossing_positions,
+    slope_tie_point_sets,
+)
 from test_triangles import brute_empty_triples
 
 from planetree.builder import build_plane_tree
@@ -34,7 +39,9 @@ from planetree.geometry import (
 )
 from planetree.graphs import (
     GeometricGraph,
+    canonical_edge,
     complete_graph,
+    crossing_pairs,
     find_crossing_pair,
     induced_subgraph,
     triple_connected,
@@ -277,3 +284,25 @@ def test_the_crossing_sweep_returns_the_all_pairs_witness():
         assert all_pairs_crossing_pair(g.ps, tree) is None
         free += 1
     assert crossing > 150 and free > 80 and vertical > 50
+
+
+def test_the_crossing_kernel_finds_the_pairs_of_the_all_pairs_scan():
+    # Canonical edges in a shuffled order, so positions are not the
+    # sorted order; each crossing pair comes out once, with i < j.
+    rng = random.Random(1414)
+    cases = [(ps, [canonical_edge(*e) for e in edges]) for ps, edges in _crossing_cases(rng)]
+    for sy in (1, -1):
+        for ps in slope_tie_point_sets(sy):
+            pairs = combinations(range(len(ps)), 2)
+            cases.append((ps, [e for e in pairs if rng.random() < 0.15]))
+    found = []
+    for ps, edges in cases:
+        edges = sorted(set(edges))
+        rng.shuffle(edges)
+        pairs = list(crossing_pairs(ps, edges))
+        assert all(i < j for i, j in pairs)
+        assert len(pairs) == len(set(pairs))
+        assert sorted(pairs) == all_pairs_crossing_positions(ps, edges)
+        found.append(len(pairs))
+    ties = len(slope_tie_point_sets(1)) + len(slope_tie_point_sets(-1))
+    assert sum(found[:-ties]) > 5_000 and sum(found[-ties:]) > 10_000

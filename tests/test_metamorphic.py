@@ -13,7 +13,9 @@ certified tree comes back.  Every image stays inside `COORD_LIMIT`.
 The interval recurrence for convex position reads the points in hull
 order, which the mirror reverses and the other maps may start at a
 different vertex; its verdict must not change, and a translation, which
-keeps the hull order, must keep its witness.
+keeps the hull order, must keep its witness.  The exhaustive oracle
+reads only the indices and which pairs properly cross, so its whole
+result must not change under any map.
 
 Point sets at the coordinate limit whose float slopes tie go through
 every map that keeps them inside the box.
@@ -30,6 +32,7 @@ from planetree.convex import convex_tree_edges
 from planetree.generators import path_complement, r_construction, random_instance
 from planetree.geometry import COORD_LIMIT, Point, PointSet, hull_order
 from planetree.graphs import GeometricGraph, PlaneTree, certify_plane_spanning_tree
+from planetree.oracle import has_plane_spanning_tree
 from planetree.rotation import full_rotation
 from planetree.triangles import disconnected_empty_triangles, enumerate_empty_triangles
 
@@ -105,6 +108,22 @@ def test_orientation_maps_keep_triangles_witnesses_flags_and_certifiability(name
         violated += report.precondition_violated
     assert trees > 30
     assert violated >= 5
+
+
+def test_the_oracle_result_is_the_same_under_every_map_and_translation():
+    # The maps keep indices and every proper crossing, so the search sees
+    # the same edges and the same crossing table.
+    checked = 0
+    for g in _instances():
+        if g.n > 10:
+            continue
+        result = has_plane_spanning_tree(g)
+        maps = list(MAPS.values())
+        maps += [lambda x, y, tx=tx, ty=ty: (x + tx, y + ty) for tx, ty in _translations(g)]
+        for f in maps:
+            assert has_plane_spanning_tree(_mapped(g, f)) == result
+            checked += 1
+    assert checked > 100
 
 
 def _slope_tie_graphs():

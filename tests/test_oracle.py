@@ -1,15 +1,27 @@
 import random
 
-from planetree import cli
+import pytest
+from _diagnostics import all_pairs_crossing_positions
+
+from planetree import cli, oracle
+from planetree.builder import build_plane_tree
 from planetree.generators import (
     convex_position_points,
     path_complement,
+    r_construction,
     random_point_set,
 )
 from planetree.geometry import Point, PointSet
 from planetree.graphs import GeometricGraph, PlaneTree, certify_plane_spanning_tree, complete_graph
 from planetree.instance_io import dump_instance
-from planetree.oracle import ABSENT, BUDGET_EXCEEDED, FOUND, has_plane_spanning_tree
+from planetree.oracle import (
+    ABSENT,
+    BUDGET_EXCEEDED,
+    DEFAULT_BUDGET,
+    FOUND,
+    OracleResult,
+    has_plane_spanning_tree,
+)
 
 
 def test_complete_graph_finds_lex_first_star():
@@ -119,3 +131,65 @@ def test_the_oracle_command_on_one_point(tmp_path, capsys):
     path.write_text('{"points": [[3, 4]], "edges": []}')
     assert cli.main(["oracle", str(path)]) == 0
     assert capsys.readouterr().out == "exists tree=[] nodes=0\n"
+
+
+def _reference_oracle(g, budget=DEFAULT_BUDGET):
+    """The oracle's search on a crossing table from the all-pairs scan.
+    The table holds both directions of every pair, so the oracle's table
+    of later edges only is checked to lose nothing."""
+    edges = sorted(g.edges)
+    parent = list(range(g.n))
+    usable = oracle._usable(edges, parent, 0, 0, g.n)
+    if not usable:
+        return OracleResult(ABSENT, None, 0)
+    crossers = [0] * len(edges)
+    for a, b in all_pairs_crossing_positions(g.ps, edges):
+        crossers[a] |= 1 << b
+        crossers[b] |= 1 << a
+    status, chosen, nodes = oracle._search(edges, crossers, budget, parent, usable)
+    tree_edges = frozenset(edges[e] for e in chosen) if status == FOUND else None
+    return OracleResult(status, tree_edges, nodes)
+
+
+def _oracle_cases():
+    rng = random.Random(2323)
+    for n in range(3, 11):
+        ps = random_point_set(n, rng)
+        pairs = sorted(complete_graph(ps).edges)
+        for density in (0.3, 0.5, 0.7, 0.9, 1.0):
+            for _ in range(3):
+                yield GeometricGraph(ps, frozenset(e for e in pairs if rng.random() < density))
+    for n in range(5, 11):
+        yield path_complement(n).graph
+        for instance in r_construction(n):
+            yield instance.graph
+
+
+def test_the_oracle_matches_its_search_on_the_all_pairs_crossing_table():
+    statuses = set()
+    for g in _oracle_cases():
+        result = has_plane_spanning_tree(g)
+        assert result == _reference_oracle(g)
+        statuses.add(result.status)
+        if result.status == FOUND and result.nodes > 4:
+            # The same search cut short by the budget.
+            budget = result.nodes // 2
+            spent = has_plane_spanning_tree(g, budget=budget)
+            assert spent.status == BUDGET_EXCEEDED
+            assert spent == _reference_oracle(g, budget=budget)
+            statuses.add(spent.status)
+    assert statuses == {FOUND, ABSENT, BUDGET_EXCEEDED}
+
+
+def test_a_negative_budget_is_refused():
+    g = complete_graph(convex_position_points(6))
+    for call in (
+        lambda: has_plane_spanning_tree(g, budget=-1),
+        lambda: build_plane_tree(g, oracle_budget=-1),
+    ):
+        with pytest.raises(ValueError, match="budget must be at least 0, got -1"):
+            call()
+    # Budget 0 stays legal: the search stops at its first node, and a
+    # build on the theorem path never spends any.
+    assert has_plane_spanning_tree(g, budget=0) == OracleResult(BUDGET_EXCEEDED, None, 1)
+    assert build_plane_tree(g, oracle_budget=0).tree is not None

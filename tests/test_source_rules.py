@@ -166,3 +166,20 @@ def test_only_one_helper_decodes_json():
     for path in sorted(Path(planetree.__file__).parent.glob("*.py")):
         callers += _callers(path, json_loads)
     assert callers == ["instance_io._decode"]
+
+
+def test_one_crossing_sweep_serves_certification_and_the_oracle():
+    # The certifier's witness and the oracle's crossing table both come
+    # from `graphs.crossing_pairs`; the oracle has no crossing test of
+    # its own.
+    def sweep(call):
+        func = call.func
+        return getattr(func, "id", getattr(func, "attr", None)) == "crossing_pairs"
+
+    callers = []
+    for path in sorted(Path(planetree.__file__).parent.glob("*.py")):
+        callers += _callers(path, sweep)
+    assert sorted(callers) == ["graphs.find_crossing_pair", "oracle.has_plane_spanning_tree"]
+    oracle = Path(planetree.oracle.__file__)
+    names = set(_referenced_names(ast.parse(oracle.read_text(), filename=str(oracle))))
+    assert "segments_properly_cross" not in names
