@@ -20,8 +20,8 @@ from typing import Sequence
 
 from .builder import build_plane_tree
 from .generators import (
+    DEFAULT_SCALE,
     GenerationError,
-    Instance,
     path_complement,
     r_construction,
     random_instance,
@@ -38,7 +38,13 @@ from .rotation import full_rotation
 from .svg import write_svg
 from .triangles import disconnected_empty_triangles, enumerate_empty_triangles
 
-FAMILIES = ("complete", "path-complement", "r-construction", "random")
+#: `gen` families: each makes its instance from the parsed arguments.
+FAMILIES = {
+    "complete": lambda args: random_instance(args.n, seed=args.seed, mode="complete"),
+    "path-complement": lambda args: path_complement(args.n, scale=args.scale),
+    "r-construction": lambda args: r_construction(args.n, scale=args.scale)[1],
+    "random": lambda args: random_instance(args.n, seed=args.seed, mode="budgeted"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -53,50 +59,48 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("family", choices=FAMILIES)
     p_gen.add_argument("n", type=int)
     p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--scale", type=int, default=10**6)
+    p_gen.add_argument("--scale", type=int, default=DEFAULT_SCALE)
     p_gen.add_argument("--out", default=None, help="output path (default FAMILY-N.json)")
+    p_gen.set_defaults(handler=cmd_gen)
 
     p_stats = sub.add_parser("stats", help="print instance statistics")
     p_stats.add_argument("path")
+    p_stats.set_defaults(handler=cmd_stats)
 
     p_build = sub.add_parser("build", help="build a plane spanning tree")
     p_build.add_argument("path")
     p_build.add_argument("--svg", default=None, help="render the result to this SVG file")
+    p_build.set_defaults(handler=cmd_build)
 
     p_check = sub.add_parser("check", help="verify a claimed plane spanning tree")
     p_check.add_argument("path")
     p_check.add_argument(
         "tree", help="edge list [[i,j],...] given inline or as a path to a JSON file"
     )
+    p_check.set_defaults(handler=cmd_check)
 
     p_oracle = sub.add_parser("oracle", help="exhaustive existence search")
     p_oracle.add_argument("path")
     p_oracle.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p_oracle.set_defaults(handler=cmd_oracle)
 
     p_batch = sub.add_parser("batch", help="random campaign of build/oracle checks")
     p_batch.add_argument("--trials", type=int, default=100)
     p_batch.add_argument("--n-range", default="5:9", help="MIN:MAX inclusive")
     p_batch.add_argument("--seed", type=int, default=0)
+    p_batch.set_defaults(handler=cmd_batch)
 
     p_rotate = sub.add_parser("rotate", help="dump the rotating-line states")
     p_rotate.add_argument("path", help="instance file; the edges key is optional here")
+    p_rotate.set_defaults(handler=cmd_rotate)
 
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    handler = {
-        "gen": cmd_gen,
-        "stats": cmd_stats,
-        "build": cmd_build,
-        "check": cmd_check,
-        "oracle": cmd_oracle,
-        "batch": cmd_batch,
-        "rotate": cmd_rotate,
-    }[args.command]
     try:
-        status = handler(args)
+        status = args.handler(args)
         sys.stdout.flush()  # so that a closed pipe shows here, not at shutdown
         return status
     except BrokenPipeError:
@@ -118,17 +122,8 @@ def console_main() -> None:  # pragma: no cover
     sys.exit(main())
 
 
-def _generate(args) -> Instance:
-    if args.family == "path-complement":
-        return path_complement(args.n, scale=args.scale)
-    if args.family == "r-construction":
-        return r_construction(args.n, scale=args.scale)[1]
-    mode = "complete" if args.family == "complete" else "budgeted"
-    return random_instance(args.n, seed=args.seed, mode=mode)
-
-
 def cmd_gen(args) -> int:
-    instance = _generate(args)
+    instance = FAMILIES[args.family](args)
     out = args.out or f"{args.family}-{args.n}.json"
     dump_instance(instance.graph, out)
     s = disconnected_empty_triangles(instance.graph).count
@@ -205,6 +200,8 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def cmd_batch(args) -> int:
+    if args.trials < 0:
+        raise ValueError(f"bad trials {args.trials}: need 0 or more")
     n_min, n_max = _parse_range(args.n_range)
     span = n_max - n_min + 1
     failures = 0

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .geometry import (
+    COORD_LIMIT,
     INTERIOR,
     Point,
     PointSet,
@@ -51,10 +52,12 @@ def convex_position_points(n: int, scale: int = DEFAULT_SCALE) -> PointSet:
 
     Rounds the vertices of a regular polygon of the given radius and
     verifies the result; on a rounding collision the radius is doubled
-    and the construction retried.
+    and the construction retried while it stays within COORD_LIMIT.
     """
     if n < 3:
         raise ValueError("need at least 3 points")
+    if not 0 < abs(scale) <= COORD_LIMIT:
+        raise ValueError(f"scale {scale} must be nonzero with |scale| <= {COORD_LIMIT}")
     radius = scale
     for _ in range(12):
         pts = tuple(
@@ -67,13 +70,15 @@ def convex_position_points(n: int, scale: int = DEFAULT_SCALE) -> PointSet:
         try:
             ps = PointSet(pts)
         except ValueError:
-            radius *= 2
-            continue
-        # The hull runs counter-clockwise from its lowest point k: index
-        # order is hull order (so convex position too) iff it is k, k+1, ... mod n.
-        hull = hull_order(ps)
-        if hull == tuple((hull[0] + i) % n for i in range(n)):
-            return ps
+            pass
+        else:
+            # The hull runs counter-clockwise from its lowest point k: index
+            # order is hull order (so convex position too) iff it is k, k+1, ... mod n.
+            hull = hull_order(ps)
+            if hull == tuple((hull[0] + i) % n for i in range(n)):
+                return ps
+        if abs(2 * radius) > COORD_LIMIT:
+            break
         radius *= 2
     raise GenerationError(f"no convex realization for n={n} up to radius {radius}")
 

@@ -186,10 +186,11 @@ class RotationSequence:
     intermediates[i] and events[i] alternate: the sweep leaves
     intermediates[i] through events[i] and arrives at
     intermediates[i+1] (cyclically; the last event returns to the start
-    state).  pivots lists the axis sequence including the closing
-    repeat of the first pivot.  opposite_index is the intermediate
-    state whose interval contains the direction opposite the start
-    line, i.e. the state reached after rotating by exactly a half turn.
+    state).  pivots is the start pivot followed by each event's partner,
+    so it ends on the start pivot when the last event returns there.
+    opposite_index is the intermediate state whose interval contains the
+    direction opposite the start line, i.e. the state reached after
+    rotating by exactly a half turn.
     """
 
     ps: PointSet
@@ -288,12 +289,12 @@ def full_rotation(ps: PointSet) -> RotationSequence:
             break
         lines.append(line)
         parts.append(part)
-    intermediates = tuple(lines[0::2])
+    intermediates, events = tuple(lines[0::2]), tuple(lines[1::2])
     return RotationSequence(
         ps=ps,
         intermediates=intermediates,
-        events=tuple(lines[1::2]),
-        pivots=tuple(inter.pivot for inter in intermediates) + (intermediates[0].pivot,),
+        events=events,
+        pivots=(intermediates[0].pivot,) + tuple(e.partner for e in events),
         opposite_index=opposite,
         intermediate_partitions=tuple(parts[0::2]),
         event_partitions=tuple(parts[1::2]),

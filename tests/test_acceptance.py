@@ -91,6 +91,9 @@ def test_criterion_4_rotation_invariants():
             seq = full_rotation(ps)
             k = (n + 2) // 2  # ceil((n+1)/2)
             assert seq.pivots[0] == seq.pivots[-1]
+            assert seq.pivots == (seq.intermediates[0].pivot,) + tuple(
+                e.partner for e in seq.events
+            )
             count = len(seq.events)
             for idx in range(count):
                 part = seq.intermediate_partitions[idx]

@@ -20,6 +20,7 @@ from planetree.instance_io import (
     parse_edge_list,
 )
 from planetree.generators import path_complement, r_construction
+from planetree.geometry import COORD_LIMIT
 
 
 def run(capsys, *argv):
@@ -59,6 +60,17 @@ def test_gen_below_family_minimum_exits_2(tmp_path, capsys):
     )
     assert code == 2
     assert "error" in stderr
+
+
+@pytest.mark.parametrize("scale", ["0", "2000000000"])
+def test_a_scale_outside_the_coordinate_bound_exits_2(tmp_path, capsys, scale):
+    out = tmp_path / "p5.json"
+    code, stdout, stderr = run(
+        capsys, "gen", "path-complement", "5", "--scale", scale, "--out", str(out)
+    )
+    detail = f"scale {scale} must be nonzero with |scale| <= {COORD_LIMIT}"
+    assert (code, stdout, stderr) == (2, "", f"error: {detail}\n")
+    assert not out.exists()
 
 
 def test_round_trip_is_byte_exact(tmp_path, capsys):
@@ -468,6 +480,11 @@ def test_batch_counts_a_failed_invariant_as_a_failure(capsys, monkeypatch):
 def test_batch_zero_trials(capsys):
     code, stdout, _ = run(capsys, "batch", "--trials", "0")
     assert code == 0
+
+
+def test_negative_trials_exit_2(capsys):
+    code, stdout, stderr = run(capsys, "batch", "--trials", "-3")
+    assert (code, stdout, stderr) == (2, "", "error: bad trials -3: need 0 or more\n")
 
 
 def test_batch_base_case_sizes(capsys):

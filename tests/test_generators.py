@@ -13,6 +13,7 @@ from planetree.generators import (
     random_point_set,
 )
 from planetree.geometry import (
+    COORD_LIMIT,
     INTERIOR,
     hull_order,
     in_convex_position,
@@ -50,6 +51,30 @@ def test_convex_points_in_hull_order():
 def test_convex_points_small_scale():
     ps = convex_position_points(4, scale=10)
     assert in_convex_position(ps)
+
+
+@pytest.mark.parametrize("scale", [0, COORD_LIMIT + 1, -COORD_LIMIT - 1, 2_000_000_000])
+def test_a_scale_outside_the_coordinate_bound_is_refused(scale):
+    with pytest.raises(ValueError, match=f"<= {COORD_LIMIT}$"):
+        convex_position_points(5, scale)
+
+
+def test_a_scale_at_the_coordinate_bound_is_realized():
+    for scale in (COORD_LIMIT, -COORD_LIMIT):
+        assert in_convex_position(convex_position_points(5, scale))
+
+
+def test_the_radius_stops_doubling_at_the_coordinate_bound(monkeypatch):
+    radii = []
+
+    def collides(pts):
+        radii.append(pts[0].x)  # the vertex at angle 0 lies at (radius, 0)
+        raise ValueError("rounding collision")
+
+    monkeypatch.setattr(generators, "PointSet", collides)
+    with pytest.raises(GenerationError, match=f"up to radius {COORD_LIMIT}$"):
+        convex_position_points(5, COORD_LIMIT // 16)
+    assert radii == [COORD_LIMIT >> k for k in (4, 3, 2, 1, 0)]
 
 
 def test_path_complement_counts():

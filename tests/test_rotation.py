@@ -99,6 +99,9 @@ def test_full_rotation_small_triangle_visits_every_pivot():
     seq = full_rotation(ps)
     assert set(seq.pivots) == {0, 1, 2}
     assert seq.pivots[0] == seq.pivots[-1]
+    assert seq.pivots == (seq.intermediates[0].pivot,) + tuple(
+        e.partner for e in seq.events
+    )
 
 
 def test_full_rotation_invariants_external_check():
@@ -108,6 +111,9 @@ def test_full_rotation_invariants_external_check():
         ps = random_point_set(n, rng)
         seq = full_rotation(ps)
         assert seq.pivots[0] == seq.pivots[-1]
+        assert seq.pivots == (seq.intermediates[0].pivot,) + tuple(
+            e.partner for e in seq.events
+        )
         assert len(seq.intermediates) == len(seq.events)
         k = _left_size(n)
         count = len(seq.events)

@@ -3,6 +3,8 @@ from collections import Counter
 from pathlib import Path
 
 import planetree
+import planetree.builder
+import planetree.oracle
 
 
 def test_no_bare_assert_in_the_package():
@@ -18,6 +20,13 @@ def test_no_bare_assert_in_the_package():
         ]
     assert found == []
 
+
+def test_the_package_root_binds_no_name():
+    # Each public name is declared once, in its module, and imported from
+    # there; `import planetree` loads no submodule.
+    path = Path(planetree.__file__)
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert ast.get_docstring(tree) and len(tree.body) == 1
 
 
 def _referenced_names(node):
