@@ -65,14 +65,21 @@ BASE = "oracle"
 
 @dataclass(frozen=True)
 class SplitLine:
-    """A sweep state whose two closed sides both admit recursion."""
+    """A sweep state whose two closed sides both admit recursion.
 
-    graph: GeometricGraph
+    `line` is the state and `left_indices`, `right_indices` its closed
+    sides.  `shared`, the points on the line, is derived: the two sides
+    intersected.
+    """
+
     line: OrientedLine
     left_indices: frozenset[int]
     right_indices: frozenset[int]
-    shared: frozenset[int]
     case_tag: str
+
+    @property
+    def shared(self) -> frozenset[int]:
+        return self.left_indices & self.right_indices
 
 
 @dataclass
@@ -128,14 +135,7 @@ def find_valid_split(g: GeometricGraph, witnesses: tuple[Triple, ...]) -> SplitL
                 continue
         elif not (_fits(witnesses, left) and _fits(witnesses, right)):
             continue
-        return SplitLine(
-            graph=g,
-            line=line,
-            left_indices=left,
-            right_indices=right,
-            shared=left & right,
-            case_tag=_classify(g, start, index, witnesses),
-        )
+        return SplitLine(line, left, right, _classify(g, start, index, witnesses))
     return None
 
 
@@ -248,8 +248,9 @@ def merge_side_trees(
             if i not in side or j not in side:
                 raise ValueError(f"edge ({i}, {j}) leaves its side of the split")
             union.add(canonical_edge(i, j))
-    if len(union) >= split.graph.n:
-        union = traversal_tree(split.graph.n, union)
+    n = len(split.left_indices | split.right_indices)  # the sides cover every point
+    if len(union) >= n:
+        union = traversal_tree(n, union)
     return frozenset(union)
 
 

@@ -24,7 +24,7 @@ from .geometry import (
     hull_order,
     point_in_triangle,
 )
-from .graphs import GeometricGraph, complete_graph, is_crossing_free
+from .graphs import GeometricGraph, complete_graph, find_crossing_pair
 from .triangles import (
     _all_empty,
     _below_tables,
@@ -43,8 +43,6 @@ class GenerationError(RuntimeError):
 @dataclass(frozen=True)
 class Instance:
     graph: GeometricGraph
-    family_tag: str
-    seed: int | None = None
 
 
 def convex_position_points(n: int, scale: int = DEFAULT_SCALE) -> PointSet:
@@ -52,14 +50,15 @@ def convex_position_points(n: int, scale: int = DEFAULT_SCALE) -> PointSet:
 
     Rounds the vertices of a regular polygon of the given radius and
     verifies the result; on a rounding collision the radius is doubled
-    and the construction retried while it stays within COORD_LIMIT.
+    and the construction retried while it stays within COORD_LIMIT.  The
+    error names the last radius tried.
     """
     if n < 3:
         raise ValueError("need at least 3 points")
     if not 0 < abs(scale) <= COORD_LIMIT:
         raise ValueError(f"scale {scale} must be nonzero with |scale| <= {COORD_LIMIT}")
     radius = scale
-    for _ in range(12):
+    while True:
         pts = tuple(
             Point(
                 round(radius * math.cos(2 * math.pi * i / n)),
@@ -78,9 +77,8 @@ def convex_position_points(n: int, scale: int = DEFAULT_SCALE) -> PointSet:
             if hull == tuple((hull[0] + i) % n for i in range(n)):
                 return ps
         if abs(2 * radius) > COORD_LIMIT:
-            break
+            raise GenerationError(f"no convex realization for n={n} up to radius {radius}")
         radius *= 2
-    raise GenerationError(f"no convex realization for n={n} up to radius {radius}")
 
 
 def path_complement(n: int, scale: int = DEFAULT_SCALE) -> Instance:
@@ -100,7 +98,7 @@ def path_complement(n: int, scale: int = DEFAULT_SCALE) -> Instance:
         raise GenerationError(
             f"path complement certificate failed: expected {n - 2}, got {got}"
         )
-    return Instance(g, "path_complement")
+    return Instance(g)
 
 
 def r_construction(n: int, scale: int = DEFAULT_SCALE) -> tuple[Instance, Instance]:
@@ -130,13 +128,12 @@ def r_construction(n: int, scale: int = DEFAULT_SCALE) -> tuple[Instance, Instan
         if point_in_triangle(w, a, b, c) != INTERIOR:
             continue
         path_edges = frozenset((i, i + 1) for i in range(n - 1))
-        r = GeometricGraph(ps, path_edges)
-        if not is_crossing_free(r, r.edges):
+        if find_crossing_pair(ps, path_edges) is not None:
             continue
         complement = GeometricGraph(ps, set(combinations(range(n), 2)) - path_edges)
         if disconnected_empty_triangles(complement).count != n - 3:
             continue
-        return Instance(r, "r_construction"), Instance(complement, "r_construction")
+        return Instance(GeometricGraph(ps, path_edges)), Instance(complement)
     raise GenerationError(f"no certified pulled-vertex construction for n={n}")
 
 
@@ -176,7 +173,7 @@ def random_instance(n: int, seed: int, mode: str = "budgeted") -> Instance:
     rng = random.Random(seed)
     ps = random_point_set(n, rng)
     if mode == "complete":
-        return Instance(complete_graph(ps), "complete", seed=seed)
+        return Instance(complete_graph(ps))
 
     # Induced-edge count of each empty triangle, by its position in
     # `empties`; deleting an edge disconnects the triangles at count 2.
@@ -212,4 +209,4 @@ def random_instance(n: int, seed: int, mode: str = "budgeted") -> Instance:
     check = len(_empty_candidates(tables, result.edges))
     if check != disconnected or check > budget:
         raise GenerationError("incremental disconnected count drifted")
-    return Instance(result, "random_budgeted", seed=seed)
+    return Instance(result)

@@ -105,11 +105,6 @@ def triple_connected(g: GeometricGraph, u: int, v: int, w: int) -> bool:
     return count >= 2
 
 
-def is_crossing_free(g: GeometricGraph, edge_subset: Iterable[Edge]) -> bool:
-    """True iff no two edges of the subset properly cross (`find_crossing_pair`)."""
-    return find_crossing_pair(g.ps, edge_subset) is None
-
-
 def find_crossing_pair(
     ps: PointSet, edges: Iterable[Edge]
 ) -> tuple[Edge, Edge] | None:
@@ -191,7 +186,6 @@ def traversal_tree(n: int, edges: Iterable[Edge]) -> set[Edge]:
 class PlaneTree:
     """A certified plane spanning tree; construct via certify_plane_spanning_tree."""
 
-    graph: GeometricGraph
     tree_edges: frozenset[Edge]
 
 
@@ -229,4 +223,4 @@ def certify_plane_spanning_tree(
     pair = find_crossing_pair(g.ps, t)
     if pair is not None:
         return Rejection("crossing", witness=pair)
-    return PlaneTree(g, t)
+    return PlaneTree(t)

@@ -70,20 +70,22 @@ class OrientedLine:
     `direction` is an exact interior witness of its open angular
     interval and `brackets` holds the (entering, leaving) event
     directions when known (the start line of a sweep has none).
+    `kind` is derived: a line is an event exactly when it has a partner.
     """
 
-    kind: str
     pivot: int
     direction: Vec
     partner: int | None = None
     brackets: tuple[Vec, Vec] | None = None
 
+    @property
+    def kind(self) -> str:
+        return INTERMEDIATE if self.partner is None else EVENT
+
     def on_line(self) -> tuple[int, ...]:
-        if self.kind == EVENT:
-            if self.partner is None:
-                raise AssertionError("event line without a partner")
-            return (self.pivot, self.partner)
-        return (self.pivot,)
+        if self.partner is None:
+            return (self.pivot,)
+        return (self.pivot, self.partner)
 
 
 @dataclass(frozen=True)
@@ -131,7 +133,7 @@ def initial_halving_line(ps: PointSet) -> OrientedLine:
             continue
         order = sorted(range(n), key=keys.__getitem__)
         pivot = order[(n - 1) // 2]
-        return OrientedLine(INTERMEDIATE, pivot, d)
+        return OrientedLine(pivot, d)
     raise AssertionError("no generic direction found")  # pragma: no cover
 
 
@@ -186,20 +188,24 @@ class RotationSequence:
     intermediates[i] and events[i] alternate: the sweep leaves
     intermediates[i] through events[i] and arrives at
     intermediates[i+1] (cyclically; the last event returns to the start
-    state).  pivots is the start pivot followed by each event's partner,
-    so it ends on the start pivot when the last event returns there.
-    opposite_index is the intermediate state whose interval contains the
-    direction opposite the start line, i.e. the state reached after
-    rotating by exactly a half turn.
+    state).  `pivots` is derived from them.  opposite_index is the
+    intermediate state whose interval contains the direction opposite
+    the start line, i.e. the state reached after rotating by exactly a
+    half turn.
     """
 
     ps: PointSet
     intermediates: tuple[OrientedLine, ...]
     events: tuple[OrientedLine, ...]
-    pivots: tuple[int, ...]
     opposite_index: int
     intermediate_partitions: tuple[SidePartition, ...]
     event_partitions: tuple[SidePartition, ...]
+
+    @property
+    def pivots(self) -> tuple[int, ...]:
+        """The start pivot followed by each event's partner, so it ends on
+        the start pivot when the last event returns there."""
+        return (self.intermediates[0].pivot,) + tuple(e.partner for e in self.events)
 
     @property
     def left_size(self) -> int:
@@ -253,14 +259,12 @@ def sweep_states(
         if _strictly_between(entering, d_ref, t_ev):
             break
         yield line, part
-        event = OrientedLine(EVENT, line.pivot, t_ev, partner=partner)
+        event = OrientedLine(line.pivot, t_ev, partner=partner)
         event_part = side_partition(event, ps)
         _check_event(part, event_part, line.pivot, partner)
         yield event, event_part
         t_after, partner_after = _next_alignment(ps, partner, t_ev)
-        nxt = OrientedLine(
-            INTERMEDIATE, partner, _add(t_ev, t_after), brackets=(t_ev, t_after)
-        )
+        nxt = OrientedLine(partner, _add(t_ev, t_after), brackets=(t_ev, t_after))
         nxt_part = side_partition(nxt, ps)
         _check_sizes(nxt_part, n)
         _check_swap(part, nxt_part, line.pivot, partner)
@@ -289,12 +293,10 @@ def full_rotation(ps: PointSet) -> RotationSequence:
             break
         lines.append(line)
         parts.append(part)
-    intermediates, events = tuple(lines[0::2]), tuple(lines[1::2])
     return RotationSequence(
         ps=ps,
-        intermediates=intermediates,
-        events=events,
-        pivots=(intermediates[0].pivot,) + tuple(e.partner for e in events),
+        intermediates=tuple(lines[0::2]),
+        events=tuple(lines[1::2]),
         opposite_index=opposite,
         intermediate_partitions=tuple(parts[0::2]),
         event_partitions=tuple(parts[1::2]),
@@ -308,12 +310,10 @@ def _check_sizes(part: SidePartition, n: int) -> None:
         raise AssertionError("closed side sizes changed")
 
 
-def _check_event(
-    cur: SidePartition, event: SidePartition, v_old: int, v_new: int | None
-) -> None:
+def _check_event(cur: SidePartition, event: SidePartition, v_old: int, v_new: int) -> None:
     """The event leaving `cur` adds its new pivot to the side that pivot
     did not come from and leaves the other side unchanged."""
-    if v_new is None or v_new == v_old:
+    if v_new == v_old:
         raise AssertionError("event does not move to a new pivot")
     if v_new in cur.right:
         ok = event.left == cur.left | {v_new} and event.right == cur.right

@@ -182,10 +182,14 @@ def _below_tables(ps: PointSet) -> Tables:
 
 @dataclass(frozen=True)
 class DisconnectedTriangles:
-    """Count of disconnected empty triangles, with the witnesses themselves."""
+    """The disconnected empty triangles of a graph.  `count`, the paper's
+    s, is derived: the number of witnesses."""
 
-    count: int
     witnesses: tuple[Triple, ...]
+
+    @property
+    def count(self) -> int:
+        return len(self.witnesses)
 
 
 def disconnected_empty_triangles(
@@ -215,4 +219,4 @@ def disconnected_empty_triangles(
             for u, v, w in inherited
             if u in local and v in local and w in local
         )
-    return DisconnectedTriangles(len(witnesses), witnesses)
+    return DisconnectedTriangles(witnesses)

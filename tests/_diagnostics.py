@@ -26,7 +26,6 @@ from planetree.geometry import (
 )
 from planetree.graphs import Edge, GeometricGraph
 from planetree.rotation import (
-    EVENT,
     INTERMEDIATE,
     OrientedLine,
     RotationSequence,
@@ -42,11 +41,9 @@ def next_event(line: OrientedLine, ps: PointSet) -> tuple[OrientedLine, Oriented
     if line.kind != INTERMEDIATE:
         raise ValueError("can only advance from an intermediate line")
     t_ev, partner = _next_alignment(ps, line.pivot, line.direction)
-    event = OrientedLine(EVENT, line.pivot, t_ev, partner=partner)
+    event = OrientedLine(line.pivot, t_ev, partner=partner)
     t_after, _ = _next_alignment(ps, partner, t_ev)
-    inter = OrientedLine(
-        INTERMEDIATE, partner, _add(t_ev, t_after), brackets=(t_ev, t_after)
-    )
+    inter = OrientedLine(partner, _add(t_ev, t_after), brackets=(t_ev, t_after))
     return event, inter
 
 

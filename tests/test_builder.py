@@ -168,14 +168,7 @@ def _first_event_split(g):
     for line, part in seq.states():
         if line.kind != "event":
             continue
-        return SplitLine(
-            graph=g,
-            line=line,
-            left_indices=part.left,
-            right_indices=part.right,
-            shared=part.left & part.right,
-            case_tag="fallback",
-        )
+        return SplitLine(line, part.left, part.right, "fallback")
     raise AssertionError
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -19,7 +20,7 @@ from planetree.instance_io import (
     loads_instance,
     parse_edge_list,
 )
-from planetree.generators import path_complement, r_construction
+from planetree.generators import path_complement, r_construction, random_instance
 from planetree.geometry import COORD_LIMIT
 
 
@@ -71,6 +72,16 @@ def test_a_scale_outside_the_coordinate_bound_exits_2(tmp_path, capsys, scale):
     detail = f"scale {scale} must be nonzero with |scale| <= {COORD_LIMIT}"
     assert (code, stdout, stderr) == (2, "", f"error: {detail}\n")
     assert not out.exists()
+
+
+def test_a_small_scale_doubles_until_the_polygon_is_realized(tmp_path, capsys):
+    out = tmp_path / "p300.json"
+    code, stdout, stderr = run(
+        capsys, "gen", "path-complement", "300", "--scale", "1", "--out", str(out)
+    )
+    assert (code, stderr) == (0, "")
+    assert stdout == f"wrote {out}\ns=298\n"
+    assert load_instance(str(out)).n == 300
 
 
 def test_round_trip_is_byte_exact(tmp_path, capsys):
@@ -443,6 +454,31 @@ def test_rotate_points_only(tmp_path, capsys):
         if line.startswith("kind=intermediate"):
             left = line.split("left=[")[1].split("]")[0]
             assert len(left.split(",")) == 3
+
+
+# sha256 of the whole `planetree rotate` stdout: every state's kind, pivots
+# and sides, and the closing line with pivot_closure.
+ROTATE_GOLDEN = [
+    pytest.param(
+        lambda: r_construction(9)[1],
+        "7ae6b0ad5bb5af8f717503d77f36a29a483b892c8b5ccf485758d96483f8648b",
+        id="r_construction-9-complement",
+    ),
+    pytest.param(
+        lambda: random_instance(12, 7),
+        "fc2f988cd96ae7e267630e0b6e3c6da18d71478e4a96233015d7a52cbc3916a2",
+        id="budgeted-12-7",
+    ),
+]
+
+
+@pytest.mark.parametrize("make, digest", ROTATE_GOLDEN)
+def test_rotate_output_is_byte_stable(make, digest, tmp_path, capsys):
+    path = tmp_path / "instance.json"
+    dump_instance(make().graph, str(path))
+    code, stdout, _ = run(capsys, "rotate", str(path))
+    assert code == 0
+    assert hashlib.sha256(stdout.encode()).hexdigest() == digest
 
 
 def test_rotate_requires_points(tmp_path, capsys):

@@ -21,7 +21,7 @@ from planetree.geometry import (
     orient,
     point_in_triangle,
 )
-from planetree.graphs import is_crossing_free
+from planetree.graphs import find_crossing_pair
 from planetree.instance_io import dumps_instance
 from planetree.oracle import ABSENT, has_plane_spanning_tree
 from planetree.triangles import disconnected_empty_triangles
@@ -77,10 +77,17 @@ def test_the_radius_stops_doubling_at_the_coordinate_bound(monkeypatch):
     assert radii == [COORD_LIMIT >> k for k in (4, 3, 2, 1, 0)]
 
 
+def test_the_radius_keeps_doubling_until_the_points_are_distinct():
+    # Radii 1 to 2048 do not realize 300 rounded polygon vertices; the
+    # thirteenth, 4096, does.
+    ps = convex_position_points(300, 1)
+    assert len(ps) == 300
+    assert in_convex_position(ps)
+
+
 def test_path_complement_counts():
     for n in range(4, 10):
         inst = path_complement(n)
-        assert inst.family_tag == "path_complement"
         assert disconnected_empty_triangles(inst.graph).count == n - 2
 
 
@@ -107,11 +114,10 @@ def test_path_complement_minimum_size():
 def test_r_construction_certificates():
     for n in (5, 7, 10):
         r, rc = r_construction(n)
-        assert r.family_tag == rc.family_tag == "r_construction"
         assert disconnected_empty_triangles(rc.graph).count == n - 3
         # The path instance must itself be drawn without crossings.
         assert len(r.graph.edges) == n - 1
-        assert is_crossing_free(r.graph, r.graph.edges)
+        assert find_crossing_pair(r.graph.ps, r.graph.edges) is None
         # The pulled vertex sits strictly inside the last hull ear.
         ps = r.graph.ps
         w = ps[n - 1]

@@ -12,8 +12,8 @@ from planetree.graphs import (
     canonical_edge,
     certify_plane_spanning_tree,
     complete_graph,
+    find_crossing_pair,
     induced_subgraph,
-    is_crossing_free,
     triple_connected,
 )
 
@@ -118,9 +118,9 @@ def test_triple_connected():
 def test_crossing_free_star_and_diagonals():
     g = complete_graph(square_plus_center())
     star = {(4, i) for i in range(4)}
-    assert is_crossing_free(g, star)
-    assert not is_crossing_free(g, {(0, 2), (1, 3)})
-    assert is_crossing_free(g, set())
+    assert find_crossing_pair(g.ps, star) is None
+    assert find_crossing_pair(g.ps, {(0, 2), (1, 3)}) == ((0, 2), (1, 3))
+    assert find_crossing_pair(g.ps, set()) is None
 
 
 def test_certify_star_of_complete_graph():

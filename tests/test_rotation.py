@@ -12,8 +12,6 @@ import planetree
 from planetree.generators import convex_position_points, random_point_set
 from planetree.geometry import COORD_LIMIT, Point, PointSet, in_general_position
 from planetree.rotation import (
-    EVENT,
-    INTERMEDIATE,
     full_rotation,
     initial_halving_line,
     side_partition,
@@ -216,11 +214,11 @@ def test_line_crosses_triangle_examples():
     from planetree.rotation import OrientedLine
 
     # Vertical line through points 3 and 4 (x = 1) splits the triangle.
-    line = OrientedLine(EVENT, 3, (0, -8), partner=4)
+    line = OrientedLine(3, (0, -8), partner=4)
     assert line_crosses_triangle(line, (0, 1, 2), ps)
 
     # Horizontal line through the bottom point: everything strictly left.
-    below = OrientedLine(INTERMEDIATE, 4, (1, 0))
+    below = OrientedLine(4, (1, 0))
     assert not line_crosses_triangle(below, (0, 1, 2), ps)
 
 
@@ -230,7 +228,7 @@ def test_line_crosses_triangle_strictness():
 
     # Line through vertex 0 pointing at (1,1): vertices 1 and 4 strictly
     # right, vertex 2 on the line is not counted for either side.
-    diag = OrientedLine(INTERMEDIATE, 0, (1, 1))
+    diag = OrientedLine(0, (1, 1))
     assert not line_crosses_triangle(diag, (0, 1, 2), ps)
     assert line_crosses_triangle(diag, (1, 2, 3), ps)
 
@@ -340,13 +338,13 @@ import random
 from planetree.generators import random_point_set
 from planetree.geometry import PointSet
 from planetree.rotation import (
-    INTERMEDIATE, OrientedLine, _check_swap, full_rotation, side_partition,
+    OrientedLine, _check_swap, full_rotation, side_partition,
 )
 
 print(__debug__)
 ps = PointSet.from_coords([(0, 0), (4, 1), (1, 5)])
 try:
-    side_partition(OrientedLine(INTERMEDIATE, 0, (4, 1)), ps)  # through point 1
+    side_partition(OrientedLine(0, (4, 1)), ps)  # through point 1
 except AssertionError as err:
     print("side_partition:", err)
 seq = full_rotation(random_point_set(9, random.Random(5)))

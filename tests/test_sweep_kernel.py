@@ -23,8 +23,6 @@ from planetree.generators import (
 )
 from planetree.geometry import COORD_LIMIT, Point, PointSet, in_general_position
 from planetree.rotation import (
-    EVENT,
-    INTERMEDIATE,
     OrientedLine,
     _next_alignment,
     _strictly_between,
@@ -132,10 +130,10 @@ def reference_sweep(ps):
             opposite = len(intermediates) - 1
         if _cw_within_open(entering, d_ref, t_ev):
             break
-        events.append(OrientedLine(EVENT, cur_pivot, t_ev, partner=partner))
+        events.append(OrientedLine(cur_pivot, t_ev, partner=partner))
         t_after, partner_after = reference_next_alignment(ps, partner, t_ev)
         intermediates.append(
-            OrientedLine(INTERMEDIATE, partner, _add(t_ev, t_after), brackets=(t_ev, t_after))
+            OrientedLine(partner, _add(t_ev, t_after), brackets=(t_ev, t_after))
         )
         pivots.append(partner)
         cur_pivot = partner
@@ -243,7 +241,7 @@ def test_side_partition_matches_the_reference_on_sweep_lines():
             # The same direction through another pivot stays generic only
             # if no point difference through it is parallel; skip those.
             pivot = rng.randrange(len(ps))
-            line = OrientedLine(INTERMEDIATE, pivot, inter.direction)
+            line = OrientedLine(pivot, inter.direction)
             v = ps[pivot]
             if any(
                 i != pivot and _cross(line.direction, _vec(v, p)) == 0
