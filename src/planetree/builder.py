@@ -3,8 +3,9 @@
 The strategy: take the rotating sweep's states lazily, in order, and
 stop at the first line both of whose closed sides satisfy the inductive
 size condition (disconnected empty triangles <= side size - 3).  The
-sweep checks each state it yields, so the scan checks exactly the steps
-it visits; the rest of the turn is never computed.  Each side is solved
+sweep derives each state's sides from the side laws, and the scan
+recomputes only the winner's from the points, one pass per split; the
+rest of the turn is never computed.  Each side is solved
 recursively and the two side trees are merged across the split line.
 A side of 3 or 4 points is a leaf: `_leaf_edges` decides it in closed
 form from the parent's edge set, with no induced graph and no oracle.
@@ -24,7 +25,7 @@ The scan is deliberately more generous than the four-way case analysis
 that justifies it; the analysis survives as the case_tag diagnostic so
 that tests can pin down which configuration an instance realizes.
 Cases 1, 3 and 4 follow from the start line's sides; only case 2 runs
-the full, fully checked turn for its crossing walk.
+the full turn, closing checks included, for its crossing walk.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from .rotation import (
     OrientedLine,
     RotationSequence,
     full_rotation,
+    side_partition,
     sweep_states,
 )
 from .triangles import Triple, disconnected_empty_triangles
@@ -118,11 +120,14 @@ def find_valid_split(g: GeometricGraph, witnesses: tuple[Triple, ...]) -> SplitL
 
     Takes states from `sweep_states` in sweep order and stops at the
     first that qualifies, so the result is deterministic for a fixed
-    input and the rest of the turn is never computed.  Returns None when
-    no state qualifies, which the theorem rules out whenever g itself
-    satisfies the size condition.  `witnesses` are g's disconnected
-    empty triangles, as the caller counted them.  Each side is a closed
-    half-plane of g, so its count is the number of witnesses it contains.
+    input and the rest of the turn is never computed.  The sweep derives
+    each state's sides from the state before it, so the winner's sides
+    are recomputed from the points once; a mismatch raises, also under
+    `python -O`.  Returns None when no state qualifies, which the
+    theorem rules out whenever g itself satisfies the size condition.
+    `witnesses` are g's disconnected empty triangles, as the caller
+    counted them.  Each side is a closed half-plane of g, so its count
+    is the number of witnesses it contains.
     """
     if g.n < 5:
         raise ValueError("splitting needs at least 5 points")
@@ -135,6 +140,8 @@ def find_valid_split(g: GeometricGraph, witnesses: tuple[Triple, ...]) -> SplitL
                 continue
         elif not (_fits(witnesses, left) and _fits(witnesses, right)):
             continue
+        if side_partition(line, g.ps) != part:
+            raise AssertionError("derived sides differ from the winning line's")
         return SplitLine(line, left, right, _classify(g, start, index, witnesses))
     return None
 

@@ -229,11 +229,6 @@ class PointSet:
         return self.points[index]
 
 
-def in_convex_position(ps: PointSet) -> bool:
-    """True iff every point of ps is a vertex of the convex hull of ps."""
-    return len(hull_order(ps)) == len(ps)
-
-
 def hull_order(ps: PointSet) -> tuple[int, ...]:
     """Indices of the convex hull vertices of ps, counter-clockwise.
 

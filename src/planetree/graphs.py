@@ -89,22 +89,6 @@ def induced_subgraph(g: GeometricGraph, subset: Iterable[int]) -> GeometricGraph
     return sub
 
 
-def triple_connected(g: GeometricGraph, u: int, v: int, w: int) -> bool:
-    """True iff the subgraph induced by {u, v, w} is connected.
-
-    A 3-vertex graph is connected exactly when at least two of the three
-    possible edges are present.
-    """
-    if len({u, v, w}) != 3:
-        raise ValueError("indices must be pairwise distinct")
-    count = (
-        (canonical_edge(u, v) in g.edges)
-        + (canonical_edge(v, w) in g.edges)
-        + (canonical_edge(u, w) in g.edges)
-    )
-    return count >= 2
-
-
 def find_crossing_pair(
     ps: PointSet, edges: Iterable[Edge]
 ) -> tuple[Edge, Edge] | None:

@@ -15,17 +15,18 @@ alignment events; because that interval spans less than a half turn,
 the integer vector sum of its endpoints lies strictly inside it and
 serves as an exact interior direction.
 
-The two scans every sweep state runs, the next alignment about a pivot
-and the side partition, are each one pass over the points with the
-pivot and the direction unpacked to local ints.  The next alignment
-needs one cross product per point: of a point's two rays about the
-pivot, only the one strictly inside the first clockwise half turn can
-come first, so the scan compares one ray per point (see
-`_next_alignment`).
+Each sweep state runs one scan over the points, the next alignment
+about its pivot, with one cross product per point: of a point's two
+rays about the pivot, only the one strictly inside the first clockwise
+half turn can come first (see `_next_alignment`).  The same scan
+raises when a third point ties the winning ray, the one place a
+collinear triple shows.  Only the start line's sides are partitioned
+from the points; every later state's sides follow from the state
+before it by the side laws, with set updates and no cross product.
 
-`sweep_states` is the one sweep loop: it yields checked states lazily,
-and `full_rotation` drains it into a stored turn.  The self-checks
-raise `AssertionError` explicitly, so they hold under `python -O` too.
+`sweep_states` is the one sweep loop: it yields states lazily, and
+`full_rotation` drains it into a stored turn.  Its checks raise
+`AssertionError` explicitly, so they hold under `python -O` too.
 """
 
 from __future__ import annotations
@@ -157,12 +158,20 @@ def _next_alignment(ps: PointSet, pivot: int, ref: Vec) -> tuple[Vec, int]:
     Within one open half turn a ray t comes before the best so far
     exactly when cross(t, best) < 0.  The scan starts from -ref, the
     end of the half turn, which every candidate comes before.
+
+    A ray with cross(t, best) == 0 ties the best: its point lies on the
+    line through the pivot and the best point, on either side of the
+    pivot, since a far-side ray is flipped onto the same ray.  A tie
+    that still holds at the end means the winning event line carries a
+    third point, so it raises, also under `python -O`.  This is the
+    sweep's one check against a collinear triple.
     """
     v = ps[pivot]
     vx, vy = v.x, v.y
     rx, ry = ref
     bx, by = -rx, -ry
     best_idx = -1
+    tied = False
     for i, p in enumerate(ps.points):
         dx = p.x - vx
         dy = p.y - vy
@@ -172,12 +181,18 @@ def _next_alignment(ps: PointSet, pivot: int, ref: Vec) -> tuple[Vec, int]:
         if c > 0:
             dx = -dx
             dy = -dy
-        if dx * by - dy * bx < 0:
+        c = dx * by - dy * bx
+        if c < 0:
             bx = dx
             by = dy
             best_idx = i
+            tied = False
+        elif c == 0:
+            tied = True
     if best_idx < 0:
         raise AssertionError("no alignment candidate about the pivot")
+    if tied:
+        raise AssertionError("off-line point aligned with sweep state")
     return (bx, by), best_idx
 
 
@@ -230,16 +245,21 @@ def sweep_states(
     once (full turn); the start direction is generic, so neither passage
     coincides with an event.
 
-    Each state is checked against the intermediate state before it
-    before it is yielded (side sizes, swap dichotomy, event side laws),
-    so a consumer that stops early has checked every step it saw.  Once
-    drained, the generator runs the closing checks (half turn, pivot
-    closure, wrap equals start) and returns the half-turn state's index.
+    Only the start line's sides are computed from the points.  Every
+    later state's sides follow from the state before it by the side
+    laws: with v the pivot and w the event's partner, the event line
+    adds w to the side it did not come from, and the next intermediate
+    line drops v from that same side.  The derivation assumes general
+    position, which `_next_alignment` checks at each event.  A consumer
+    that trusts one state's sides should recompute them, as
+    `builder.find_valid_split` does for its winner.  Once drained, the
+    generator runs the closing checks (half turn, pivot closure, wrap
+    equals start, which tests the whole chain of derivations) and
+    returns the half-turn state's index.
     """
     n = len(ps)
     start = initial_halving_line(ps)
     start_part = side_partition(start, ps)
-    _check_sizes(start_part, n)
     d_ref = start.direction
     d_opp = (-d_ref[0], -d_ref[1])
     line, part, entering = start, start_part, d_ref
@@ -259,15 +279,16 @@ def sweep_states(
         if _strictly_between(entering, d_ref, t_ev):
             break
         yield line, part
-        event = OrientedLine(line.pivot, t_ev, partner=partner)
-        event_part = side_partition(event, ps)
-        _check_event(part, event_part, line.pivot, partner)
-        yield event, event_part
+        left, right = part.left, part.right
+        if partner in right:
+            event_part = SidePartition(left | {partner}, right)
+            nxt_part = SidePartition(event_part.left - {line.pivot}, right)
+        else:
+            event_part = SidePartition(left, right | {partner})
+            nxt_part = SidePartition(left, event_part.right - {line.pivot})
+        yield OrientedLine(line.pivot, t_ev, partner=partner), event_part
         t_after, partner_after = _next_alignment(ps, partner, t_ev)
         nxt = OrientedLine(partner, _add(t_ev, t_after), brackets=(t_ev, t_after))
-        nxt_part = side_partition(nxt, ps)
-        _check_sizes(nxt_part, n)
-        _check_swap(part, nxt_part, line.pivot, partner)
         line, part, entering = nxt, nxt_part, t_ev
         t_ev, partner = t_after, partner_after
         index += 1
@@ -301,31 +322,3 @@ def full_rotation(ps: PointSet) -> RotationSequence:
         intermediate_partitions=tuple(parts[0::2]),
         event_partitions=tuple(parts[1::2]),
     )
-
-
-def _check_sizes(part: SidePartition, n: int) -> None:
-    """Every intermediate line has ceil((n+1)/2) points on or left of it."""
-    k_left = (n + 2) // 2
-    if len(part.left) != k_left or len(part.right) != n + 1 - k_left:
-        raise AssertionError("closed side sizes changed")
-
-
-def _check_event(cur: SidePartition, event: SidePartition, v_old: int, v_new: int) -> None:
-    """The event leaving `cur` adds its new pivot to the side that pivot
-    did not come from and leaves the other side unchanged."""
-    if v_new == v_old:
-        raise AssertionError("event does not move to a new pivot")
-    if v_new in cur.right:
-        ok = event.left == cur.left | {v_new} and event.right == cur.right
-    else:
-        ok = event.right == cur.right | {v_new} and event.left == cur.left
-    if not ok:
-        raise AssertionError("event line sides violate the side laws")
-
-
-def _check_swap(cur: SidePartition, nxt: SidePartition, v_old: int, v_new: int) -> None:
-    """Across an event, exactly one side swaps the old pivot for the new."""
-    swap_left = nxt.right == cur.right and nxt.left == (cur.left - {v_old}) | {v_new}
-    swap_right = nxt.left == cur.left and nxt.right == (cur.right - {v_old}) | {v_new}
-    if swap_left == swap_right:
-        raise AssertionError("event update dichotomy violated")

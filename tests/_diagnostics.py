@@ -3,9 +3,10 @@
 They exercise single sweep steps, the triangle-crossing lemma behind the
 case-2 walk, and the half-plane emptiness lemma behind inherited
 witness counts.  They keep the all-pairs crossing scan as the reference
-for the crossing sweep that certification and the oracle share, draw
-random graphs on points in convex position, and build point sets whose
-angular sort meets float ties.
+for the crossing sweep that certification and the oracle share, test
+convex position and the connectivity of a triple, draw random graphs
+on points in convex position, and build point sets whose angular sort
+meets float ties.
 The package itself never calls them.
 """
 
@@ -21,10 +22,11 @@ from planetree.geometry import (
     INTERIOR,
     Point,
     PointSet,
+    hull_order,
     point_in_triangle,
     segments_properly_cross,
 )
-from planetree.graphs import Edge, GeometricGraph
+from planetree.graphs import Edge, GeometricGraph, canonical_edge
 from planetree.rotation import (
     INTERMEDIATE,
     OrientedLine,
@@ -123,6 +125,27 @@ def relative_equals_global_empty(parent: PointSet, subset: Iterable[int]) -> boo
             if point_in_triangle(p, a, b, c) == INTERIOR:
                 return False
     return True
+
+
+def in_convex_position(ps: PointSet) -> bool:
+    """True iff every point of ps is a vertex of the convex hull of ps."""
+    return len(hull_order(ps)) == len(ps)
+
+
+def triple_connected(g: GeometricGraph, u: int, v: int, w: int) -> bool:
+    """True iff the subgraph induced by {u, v, w} is connected.
+
+    A 3-vertex graph is connected exactly when at least two of the three
+    possible edges are present.
+    """
+    if len({u, v, w}) != 3:
+        raise ValueError("indices must be pairwise distinct")
+    count = (
+        (canonical_edge(u, v) in g.edges)
+        + (canonical_edge(v, w) in g.edges)
+        + (canonical_edge(u, w) in g.edges)
+    )
+    return count >= 2
 
 
 def random_convex_graph(n: int, density: float, seed: int) -> GeometricGraph:

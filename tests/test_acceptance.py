@@ -216,10 +216,10 @@ def test_criterion_7_builder_soundness():
 
 
 ACCEPTANCE_CORE = """
-import itertools, random
+import planetree.builder as builder
 import planetree.rotation as rotation
 from planetree.builder import build_plane_tree
-from planetree.generators import r_construction, random_instance, random_point_set
+from planetree.generators import r_construction, random_instance
 from planetree.geometry import Point, PointSet
 from planetree.graphs import PlaneTree, certify_plane_spanning_tree
 
@@ -230,10 +230,9 @@ for g in (r_construction(15)[1].graph, random_instance(24, seed=5).graph):
     print(g.n, report.flags(), isinstance(verdict, PlaneTree), report.trace)
 
 
-def first_error(states, stop):
+def first_error(run):
     try:
-        for _ in itertools.islice(states, stop):
-            pass
+        run()
     except AssertionError as err:
         return str(err)
     return "no error"
@@ -243,29 +242,31 @@ def first_error(states, stop):
 collinear = object.__new__(PointSet)
 coords = [(0, 0), (2, 0), (4, 0), (1, 3), (3, -2)]
 object.__setattr__(collinear, "points", tuple(Point(x, y) for x, y in coords))
-print(first_error(rotation.sweep_states(collinear), None))
+print(first_error(lambda: list(rotation.sweep_states(collinear))))
 
-# Swap the sides of state `at` only: its step check must raise before
-# the state is yielded, although the consumer stops right after it.
-honest = rotation.side_partition
+# Swap the sides of sweep state `at` only, where `at` is the root's
+# winner: the start line, an intermediate line and an event line.  The
+# winner's recheck must raise before the build splits on it.
+honest = builder.sweep_states
 
 
 def swapping(at):
-    calls = itertools.count()
+    def sweep_states(ps):
+        for index, (line, part) in enumerate(honest(ps)):
+            if index == at:
+                part = rotation.SidePartition(part.right, part.left)
+            yield line, part
 
-    def side_partition(line, ps):
-        part = honest(line, ps)
-        if next(calls) == at:
-            return rotation.SidePartition(part.right, part.left)
-        return part
-
-    return side_partition
+    return sweep_states
 
 
-for n, at in ((9, 1), (8, 2), (9, 2)):
-    rotation.side_partition = swapping(at)
-    states = rotation.sweep_states(random_point_set(n, random.Random(n)))
-    print(first_error(states, at + 1))
+for g, at in (
+    (r_construction(5)[1].graph, 0),
+    (random_instance(9, seed=1).graph, 4),
+    (r_construction(9)[1].graph, 7),
+):
+    builder.sweep_states = swapping(at)
+    print(first_error(lambda: build_plane_tree(g)))
 """
 
 
@@ -284,7 +285,7 @@ def test_acceptance_core_runs_under_python_O():
         assert line.startswith(f"{n} [] True [({n}, '")
     assert optimised[3:] == [
         "off-line point aligned with sweep state",
-        "event line sides violate the side laws",
-        "closed side sizes changed",
-        "event update dichotomy violated",
+        "derived sides differ from the winning line's",
+        "derived sides differ from the winning line's",
+        "derived sides differ from the winning line's",
     ]

@@ -18,6 +18,7 @@ from _diagnostics import (
     all_pairs_crossing_pair,
     all_pairs_crossing_positions,
     slope_tie_point_sets,
+    triple_connected,
 )
 from test_triangles import brute_empty_triples
 
@@ -44,7 +45,6 @@ from planetree.graphs import (
     crossing_pairs,
     find_crossing_pair,
     induced_subgraph,
-    triple_connected,
 )
 from planetree.rotation import full_rotation
 from planetree.triangles import (

@@ -1,6 +1,7 @@
 import hashlib
 
 import pytest
+from _diagnostics import in_convex_position
 
 from planetree import generators
 from planetree.generators import (
@@ -16,7 +17,6 @@ from planetree.geometry import (
     COORD_LIMIT,
     INTERIOR,
     hull_order,
-    in_convex_position,
     in_general_position,
     orient,
     point_in_triangle,

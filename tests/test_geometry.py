@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from _diagnostics import in_convex_position
 from hypothesis import given, strategies as st
 
 from planetree.geometry import (
@@ -12,7 +13,6 @@ from planetree.geometry import (
     Point,
     PointSet,
     hull_order,
-    in_convex_position,
     in_general_position,
     orient,
     point_in_triangle,

@@ -2,6 +2,7 @@ import random
 from itertools import combinations
 
 import pytest
+from _diagnostics import triple_connected
 
 from planetree.generators import convex_position_points, random_point_set
 from planetree.geometry import PointSet, segments_properly_cross
@@ -14,7 +15,6 @@ from planetree.graphs import (
     complete_graph,
     find_crossing_pair,
     induced_subgraph,
-    triple_connected,
 )
 
 

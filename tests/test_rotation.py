@@ -337,9 +337,7 @@ SELF_CHECKS_UNDER_O = """
 import random
 from planetree.generators import random_point_set
 from planetree.geometry import PointSet
-from planetree.rotation import (
-    OrientedLine, _check_swap, full_rotation, side_partition,
-)
+from planetree.rotation import OrientedLine, full_rotation, side_partition
 
 print(__debug__)
 ps = PointSet.from_coords([(0, 0), (4, 1), (1, 5)])
@@ -348,11 +346,6 @@ try:
 except AssertionError as err:
     print("side_partition:", err)
 seq = full_rotation(random_point_set(9, random.Random(5)))
-parts = seq.intermediate_partitions
-try:
-    _check_swap(parts[0], parts[2], seq.intermediates[0].pivot, seq.events[0].partner)
-except AssertionError as err:
-    print("_check_swap:", err)
 for line, part in seq.states():
     print(line, sorted(part.left), sorted(part.right))
 """
@@ -370,6 +363,52 @@ def test_sweep_self_checks_raise_under_python_O():
     plain, optimised = runs
     assert plain[0] == "True" and optimised[0] == "False"
     assert optimised[1] == "side_partition: off-line point aligned with sweep state"
-    assert optimised[2] == "_check_swap: event update dichotomy violated"
     assert len(optimised) > 10
     assert optimised[1:] == plain[1:]
+
+
+# Five points with one collinear triple: the start pivot 4 = (3, -1),
+# point 0 = (4, -1), and a third point on their line, beyond point 0
+# (near) or beyond the pivot (far).  A PointSet rejects both, so
+# the script below builds them past its validation.
+COLLINEAR_THROUGH_PIVOT = {
+    "near": [(4, -1), (0, 0), (3, 4), (5, -1), (3, -1)],
+    "far": [(4, -1), (0, 0), (2, -1), (2, -4), (3, -1)],
+}
+
+TIE_CHECK_UNDER_O = """
+from planetree.geometry import Point, PointSet
+from planetree.rotation import sweep_states
+
+for coords in {layouts}:
+    ps = object.__new__(PointSet)
+    object.__setattr__(ps, "points", tuple(Point(x, y) for x, y in coords))
+    try:
+        list(sweep_states(ps))
+        print("no error")
+    except AssertionError as err:
+        print(err)
+"""
+
+
+def test_a_collinear_triple_through_a_sweep_pivot_raises_under_python_O():
+    for side, coords in COLLINEAR_THROUGH_PIVOT.items():
+        pts = [Point(x, y) for x, y in coords]
+        extra = 3 if side == "near" else 2
+        v, w, u = pts[4], pts[0], pts[extra]
+        assert (w.x - v.x) * (u.y - v.y) - (w.y - v.y) * (u.x - v.x) == 0
+        along = (w.x - v.x) * (u.x - v.x) + (w.y - v.y) * (u.y - v.y)
+        assert (along > 0) == (side == "near")
+        assert not in_general_position(pts)
+        assert in_general_position(pts[:extra] + pts[extra + 1:])
+        ps = object.__new__(PointSet)
+        object.__setattr__(ps, "points", tuple(pts))
+        assert initial_halving_line(ps).pivot == 4
+    script = TIE_CHECK_UNDER_O.format(layouts=list(COLLINEAR_THROUGH_PIVOT.values()))
+    env = {**os.environ, "PYTHONPATH": str(Path(planetree.__file__).parents[1])}
+    for flags in ((), ("-O",)):
+        out = subprocess.run(
+            [sys.executable, *flags, "-c", script],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout.splitlines()
+        assert out == ["off-line point aligned with sweep state"] * 2

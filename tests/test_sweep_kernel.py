@@ -1,4 +1,4 @@
-"""The sweep's one-pass scans against the helper-chain reference.
+"""The sweep's one-pass scans and derived sides against the references.
 
 `rotation._next_alignment` compares one ray per point and
 `rotation.side_partition` forms one cross product per point.  The
@@ -9,7 +9,9 @@ class are ordered by a further cross sign.  A reference sweep built from
 it must give the same states as `full_rotation`, state for state, and
 its interval test `_cw_within_open` must agree with the sweep's
 two-sign `rotation._strictly_between` wherever the latter's
-precondition holds.
+precondition holds.  The sweep partitions only its start line and
+derives every later state's sides by the side laws; the reference
+partitions every state from scratch, so the two must agree on each.
 """
 
 import random
