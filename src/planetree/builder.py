@@ -46,7 +46,7 @@ from .graphs import (
     induced_subgraph,
     traversal_tree,
 )
-from .oracle import BUDGET_EXCEEDED, DEFAULT_BUDGET, has_plane_spanning_tree
+from .oracle import BUDGET_EXCEEDED, has_plane_spanning_tree
 from .rotation import (
     OrientedLine,
     RotationSequence,
@@ -62,7 +62,7 @@ CASE2_2 = "case2.2"
 CASE3 = "case3"
 CASE4 = "case4"
 FALLBACK = "fallback"
-BASE = "oracle"
+BASE = "leaf"
 
 
 @dataclass(frozen=True)
@@ -196,10 +196,11 @@ def case2_walk(
     Returns (subcase, event index, index of the last state before the
     first crossing) or None when the walk cannot be completed.  The walk
     finds the first intermediate state that strictly separates one of
-    `witnesses`, the disconnected empty triangles of the graph on seq's
-    points, read off the state's stored sides, then advances until the
-    sweep axis returns to the heavy side; the event reached at that
-    moment is the candidate split.
+    `witnesses`, the disconnected empty triangles of the graph whose
+    points seq sweeps, then advances until the sweep axis returns to the heavy
+    side; the event reached at that moment is the candidate split.  A
+    state strictly separates a triangle exactly when neither of its
+    closed sides holds all three vertices.
     """
     if not witnesses:
         return None
@@ -207,12 +208,8 @@ def case2_walk(
     count = len(seq.intermediates)
     first_cross = None
     for idx, part in enumerate(parts):
-        # Only the pivot lies on an intermediate line, so the line strictly
-        # separates a triangle when it meets both strict sides.
-        strict_left = part.left - part.right
-        strict_right = part.right - part.left
         if any(
-            not strict_left.isdisjoint(t) and not strict_right.isdisjoint(t)
+            not part.left.issuperset(t) and not part.right.issuperset(t)
             for t in witnesses
         ):
             first_cross = idx
@@ -261,9 +258,7 @@ def merge_side_trees(
     return frozenset(union)
 
 
-def build_plane_tree(
-    g: GeometricGraph, oracle_budget: int = DEFAULT_BUDGET
-) -> BuildReport:
+def build_plane_tree(g: GeometricGraph) -> BuildReport:
     """Build a plane spanning tree of g, reporting how it went.
 
     Whenever g has at most n-3 disconnected empty triangles a tree is
@@ -272,20 +267,18 @@ def build_plane_tree(
     interval recurrence for points in convex position, else the oracle.
     theorem_gap_fallback_used marks the impossible middle case (size
     condition met but no split found) and signals a bug.
-    oracle_budget_exceeded means an oracle call ran out of budget: the
-    build stops there without a tree, which proves nothing about g.  An
-    oracle_budget below 0 raises ValueError before any work.
+    oracle_budget_exceeded means an oracle call ran out of its default
+    budget: the build stops there without a tree, which proves nothing
+    about g.
     """
     if g.n < 3:
         raise ValueError("need at least 3 points")
-    if oracle_budget < 0:
-        raise ValueError(f"oracle budget must be at least 0, got {oracle_budget}")
     report = BuildReport(tree=None)
     witnesses = disconnected_empty_triangles(g).witnesses
     if len(witnesses) > g.n - 3:
         report.precondition_violated = True
     try:
-        edges = _build(g, witnesses, report, 1, oracle_budget)
+        edges = _build(g, witnesses, report, 1)
     except _OracleBudgetSpent:
         report.oracle_budget_exceeded = True
         return report
@@ -302,7 +295,6 @@ def _build(
     witnesses: tuple[Triple, ...],
     report: BuildReport,
     depth: int,
-    budget: int,
 ) -> frozenset[Edge] | None:
     """Edges of a plane spanning tree of g, or None; witnesses are g's
     disconnected empty triangles."""
@@ -315,16 +307,16 @@ def _build(
         if len(witnesses) <= g.n - 3:
             report.theorem_gap_fallback_used = True
         report.trace.append((g.n, FALLBACK))
-        return _fallback_edges(g, budget)
+        return _fallback_edges(g)
 
     report.trace.append((g.n, split.case_tag))
-    left_edges = _side_edges(g, split.left_indices, witnesses, report, depth + 1, budget)
-    right_edges = _side_edges(g, split.right_indices, witnesses, report, depth + 1, budget)
+    left_edges = _side_edges(g, split.left_indices, witnesses, report, depth + 1)
+    right_edges = _side_edges(g, split.right_indices, witnesses, report, depth + 1)
     if left_edges is None or right_edges is None:
         # The sides were chosen to satisfy the size condition, so this
         # cannot happen unless something upstream is broken.
         report.theorem_gap_fallback_used = True
-        return _fallback_edges(g, budget)
+        return _fallback_edges(g)
     return merge_side_trees(split, left_edges, right_edges)
 
 
@@ -334,7 +326,6 @@ def _side_edges(
     witnesses: tuple[Triple, ...],
     report: BuildReport,
     depth: int,
-    budget: int,
 ) -> Iterable[Edge] | None:
     """Tree edges of one closed side of g, in g's indices, or None.
 
@@ -345,7 +336,7 @@ def _side_edges(
         return _leaf(g, side, report, depth)
     sub = induced_subgraph(g, side)
     sub_witnesses = disconnected_empty_triangles(sub, inherited=witnesses).witnesses
-    edges = _build(sub, sub_witnesses, report, depth, budget)
+    edges = _build(sub, sub_witnesses, report, depth)
     return None if edges is None else sub.to_parent(edges)
 
 
@@ -386,19 +377,19 @@ class _OracleBudgetSpent(Exception):
     """An oracle call ran out of budget, so the build has no verdict."""
 
 
-def _fallback_edges(g: GeometricGraph, budget: int) -> frozenset[Edge] | None:
+def _fallback_edges(g: GeometricGraph) -> frozenset[Edge] | None:
     """Tree edges of g (5 points or more) from an exact decision, or None
     when g has none.
 
     Points in convex position, the ones the hull order lists in full, are
     decided in O(n^3) by `convex_tree_edges`, which needs no budget.  The
-    rest go to the oracle, whose edges come back uncertified; a spent
-    budget raises _OracleBudgetSpent.
+    rest go to the oracle at its default budget, whose edges come back
+    uncertified; a spent budget raises _OracleBudgetSpent.
     """
     order = hull_order(g.ps)
     if len(order) == g.n:
         return convex_tree_edges(g, order)
-    result = has_plane_spanning_tree(g, budget=budget)
+    result = has_plane_spanning_tree(g)
     if result.status == BUDGET_EXCEEDED:
         raise _OracleBudgetSpent
     return result.tree_edges

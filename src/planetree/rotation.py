@@ -9,11 +9,10 @@ All angular reasoning is combinatorial.  Directions are integer
 vectors, and every decision is the sign of an integer cross product,
 never a float angle: a point's side of a line is one sign, and whether
 a direction lies strictly inside a sweep interval is two (see
-`_strictly_between`).  An intermediate line is stored symbolically as
-its pivot plus the open angular interval between its two bracketing
-alignment events; because that interval spans less than a half turn,
-the integer vector sum of its endpoints lies strictly inside it and
-serves as an exact interior direction.
+`_strictly_between`).  An intermediate line is stored as its pivot plus
+an interior direction: the sum of its neighbouring events' directions.
+The open angular interval between those events spans less than a half
+turn, so the integer sum lies strictly inside it.
 
 Each sweep state runs one scan over the points, the next alignment
 about its pivot, with one cross product per point: of a point's two
@@ -68,16 +67,15 @@ class OrientedLine:
 
     An event line passes through pivot and partner and is aligned with
     `direction`.  An intermediate line passes through the pivot only;
-    `direction` is an exact interior witness of its open angular
-    interval and `brackets` holds the (entering, leaving) event
-    directions when known (the start line of a sweep has none).
-    `kind` is derived: a line is an event exactly when it has a partner.
+    its `direction` is the sum of the directions of the events before
+    and after it, which lies strictly inside the open interval between
+    them (the start line's is its own generic direction).  `kind` is
+    derived: a line is an event exactly when it has a partner.
     """
 
     pivot: int
     direction: Vec
     partner: int | None = None
-    brackets: tuple[Vec, Vec] | None = None
 
     @property
     def kind(self) -> str:
@@ -209,7 +207,6 @@ class RotationSequence:
     half turn.
     """
 
-    ps: PointSet
     intermediates: tuple[OrientedLine, ...]
     events: tuple[OrientedLine, ...]
     opposite_index: int
@@ -288,7 +285,7 @@ def sweep_states(
             nxt_part = SidePartition(left, event_part.right - {line.pivot})
         yield OrientedLine(line.pivot, t_ev, partner=partner), event_part
         t_after, partner_after = _next_alignment(ps, partner, t_ev)
-        nxt = OrientedLine(partner, _add(t_ev, t_after), brackets=(t_ev, t_after))
+        nxt = OrientedLine(partner, _add(t_ev, t_after))
         line, part, entering = nxt, nxt_part, t_ev
         t_ev, partner = t_after, partner_after
         index += 1
@@ -315,7 +312,6 @@ def full_rotation(ps: PointSet) -> RotationSequence:
         lines.append(line)
         parts.append(part)
     return RotationSequence(
-        ps=ps,
         intermediates=tuple(lines[0::2]),
         events=tuple(lines[1::2]),
         opposite_index=opposite,

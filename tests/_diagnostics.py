@@ -45,7 +45,7 @@ def next_event(line: OrientedLine, ps: PointSet) -> tuple[OrientedLine, Oriented
     t_ev, partner = _next_alignment(ps, line.pivot, line.direction)
     event = OrientedLine(line.pivot, t_ev, partner=partner)
     t_after, _ = _next_alignment(ps, partner, t_ev)
-    inter = OrientedLine(partner, _add(t_ev, t_after), brackets=(t_ev, t_after))
+    inter = OrientedLine(partner, _add(t_ev, t_after))
     return event, inter
 
 
@@ -73,9 +73,9 @@ def line_crosses_triangle(
 
 
 def triangle_crossing_witness(
-    seq: RotationSequence, i: int, j: int, tri: tuple[int, int, int]
+    ps: PointSet, seq: RotationSequence, i: int, j: int, tri: tuple[int, int, int]
 ) -> tuple[int, int]:
-    """Locate where a triangle switches sides during the sweep.
+    """Locate where a triangle switches sides during seq, the sweep of ps.
 
     Given intermediate state indices i < j with all of tri on or right
     of state i and on or left of state j, returns (k, l) with
@@ -102,7 +102,7 @@ def triangle_crossing_witness(
     if seq.intermediates[k].pivot not in tset:
         raise AssertionError("side switch not at a triangle vertex")
     for l in range(k + 1, j):
-        if line_crosses_triangle(seq.intermediates[l], tri, seq.ps):
+        if line_crosses_triangle(seq.intermediates[l], tri, ps):
             return k, l
     raise AssertionError("no separating state between side switch and target")
 

@@ -141,7 +141,7 @@ def test_criterion_5_crossing_witness_property():
             if len(region) < 3:
                 continue
             tri = tuple(sorted(rng.sample(sorted(region), 3)))
-            k, l = triangle_crossing_witness(seq, i, j, tri)
+            k, l = triangle_crossing_witness(ps, seq, i, j, tri)
             assert i <= k < l < j
             assert seq.intermediates[k].pivot in tri
             assert set(tri) <= seq.intermediate_partitions[k].right

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -104,17 +105,29 @@ def test_build_path_complement_reports_violation():
 
 
 
-def test_spent_oracle_budget_is_not_reported_as_absence():
+def _oracle_budget(monkeypatch, budget):
+    """Make the builder's oracle calls run at `budget` nodes."""
+    monkeypatch.setattr(
+        planetree.builder,
+        "has_plane_spanning_tree",
+        partial(has_plane_spanning_tree, budget=budget),
+    )
+
+
+def test_spent_oracle_budget_is_not_reported_as_absence(monkeypatch):
     # The plane path of an r-construction is not in convex position, so
     # its fallback runs the oracle.
-    spent = build_plane_tree(r_construction(12)[0].graph, oracle_budget=10)
+    g = r_construction(9)[1].graph
+    unbudgeted = build_plane_tree(g).tree
+    _oracle_budget(monkeypatch, 10)
+    spent = build_plane_tree(r_construction(12)[0].graph)
     assert spent.tree is None
     assert spent.flags() == ["precondition_violated", "oracle_budget_exceeded"]
     assert spent.to_text().endswith('flags=["precondition_violated", "oracle_budget_exceeded"]')
     # Leaves are decided in closed form, so no budget reaches them.
-    g = r_construction(9)[1].graph
-    leaves = build_plane_tree(g, oracle_budget=1)
-    assert leaves.tree == build_plane_tree(g).tree
+    _oracle_budget(monkeypatch, 1)
+    leaves = build_plane_tree(g)
+    assert leaves.tree == unbudgeted
     assert isinstance(leaves.tree, PlaneTree)
     assert leaves.flags() == []
     assert leaves.trace[-1] == (4, BASE)
@@ -122,10 +135,11 @@ def test_spent_oracle_budget_is_not_reported_as_absence():
     assert proven.tree is None and proven.flags() == ["precondition_violated"]
 
 
-def test_a_convex_fallback_spends_no_oracle_budget():
+def test_a_convex_fallback_spends_no_oracle_budget(monkeypatch):
     # Points in convex position fall back to the interval recurrence,
     # which needs no budget, so even a budget of 10 nodes decides.
-    convex = build_plane_tree(path_complement(12).graph, oracle_budget=10)
+    _oracle_budget(monkeypatch, 10)
+    convex = build_plane_tree(path_complement(12).graph)
     assert convex.tree is None
     assert convex.trace == [(12, FALLBACK)]
     assert convex.flags() == ["precondition_violated"]
@@ -352,7 +366,7 @@ def test_a_build_is_certified_once_at_the_root(monkeypatch):
 # sha256 of the concatenated build reports (trees, traces with case tags,
 # flags) of a fixed corpus: budgeted instances n=5..12, r-constructions
 # n=6..29 and path complements n=5..11.
-GOLDEN_BUILDS = "a88ff1ed7e93e5bf97930875b85a49025ba33a5145bdbeb3ee627269692f08a7"
+GOLDEN_BUILDS = "23829a371cfa2b14755d7f9b44e470c3295fdc896d8d8a4675f91444ae9371e2"
 
 
 def test_build_reports_are_byte_stable():

@@ -9,8 +9,7 @@ from pathlib import Path
 import pytest
 
 import planetree
-from planetree import cli
-from planetree.builder import build_plane_tree
+from planetree import builder, cli
 from planetree.cli import main
 from planetree.instance_io import (
     InstanceFormatError,
@@ -22,6 +21,7 @@ from planetree.instance_io import (
 )
 from planetree.generators import path_complement, r_construction, random_instance
 from planetree.geometry import COORD_LIMIT
+from planetree.oracle import has_plane_spanning_tree
 
 
 def run(capsys, *argv):
@@ -299,7 +299,7 @@ def test_build_exits_4_when_the_oracle_budget_runs_out(tmp_path, capsys, monkeyp
     # its fallback runs the oracle.
     out = tmp_path / "r12-path.json"
     dump_instance(r_construction(12)[0].graph, str(out))
-    monkeypatch.setattr(cli, "build_plane_tree", partial(build_plane_tree, oracle_budget=10))
+    monkeypatch.setattr(builder, "has_plane_spanning_tree", partial(has_plane_spanning_tree, budget=10))
     code, stdout, _ = run(capsys, "build", str(out))
     assert code == 4
     assert stdout.splitlines() == [

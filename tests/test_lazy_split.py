@@ -64,7 +64,7 @@ def reference_tag(g, seq, winner, witnesses):
         return CASE4
     if not low_left and low_right:
         return CASE3
-    walk = reference_case2_walk(seq, witnesses)
+    walk = reference_case2_walk(g.ps, seq, witnesses)
     if walk is not None:
         subcase, event_idx, _ = walk
         if winner.kind == EVENT and seq.events[event_idx] is winner:
@@ -72,8 +72,9 @@ def reference_tag(g, seq, winner, witnesses):
     return FALLBACK
 
 
-def reference_case2_walk(seq, witnesses):
-    """`case2_walk` with the crossing test recomputed from signs."""
+def reference_case2_walk(ps, seq, witnesses):
+    """`case2_walk` with the crossing test recomputed from signs; seq is
+    the sweep of ps."""
     if not witnesses:
         return None
     parts = seq.intermediate_partitions
@@ -81,7 +82,7 @@ def reference_case2_walk(seq, witnesses):
         (
             idx
             for idx, line in enumerate(seq.intermediates)
-            if any(line_crosses_triangle(line, t, seq.ps) for t in witnesses)
+            if any(line_crosses_triangle(line, t, ps) for t in witnesses)
         ),
         None,
     )
@@ -176,7 +177,7 @@ def test_case2_walk_matches_the_sign_based_walk():
         witnesses = disconnected_empty_triangles(g).witnesses
         seq = full_rotation(g.ps)
         walk = case2_walk(seq, witnesses)
-        assert walk == reference_case2_walk(seq, witnesses)
+        assert walk == reference_case2_walk(g.ps, seq, witnesses)
         if walk is not None:
             found.add(walk[0])
     assert found == {CASE2_1, CASE2_2}

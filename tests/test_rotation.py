@@ -12,6 +12,7 @@ import planetree
 from planetree.generators import convex_position_points, random_point_set
 from planetree.geometry import COORD_LIMIT, Point, PointSet, in_general_position
 from planetree.rotation import (
+    _add,
     full_rotation,
     initial_halving_line,
     side_partition,
@@ -122,10 +123,13 @@ def test_full_rotation_invariants_external_check():
             assert len(part.right) == n + 1 - k
             assert part.left | part.right == frozenset(range(n))
             assert part.left & part.right == {inter.pivot}
-            # Interval-constancy: both bracketing event directions give
-            # the same strict side for every point off both event lines.
-            if inter.brackets is not None:
-                b0, b1 = inter.brackets
+            # Interval-constancy: both neighbouring event directions give
+            # the same strict side for every point off both event lines,
+            # and the stored direction is their sum.  The start line has
+            # no entering event.
+            if idx > 0:
+                b0, b1 = seq.events[idx - 1].direction, seq.events[idx].direction
+                assert inter.direction == _add(b0, b1)
                 v = ps[inter.pivot]
                 for i, p in enumerate(ps):
                     if i == inter.pivot:
@@ -248,7 +252,7 @@ def test_triangle_crossing_witness_properties():
         if len(region) < 3:
             continue
         tri = tuple(sorted(rng.sample(sorted(region), 3)))
-        k, l = triangle_crossing_witness(seq, i, j, tri)
+        k, l = triangle_crossing_witness(ps, seq, i, j, tri)
         assert i <= k < l < j
         assert seq.intermediates[k].pivot in tri
         assert set(tri) <= seq.intermediate_partitions[k].right
@@ -277,7 +281,7 @@ def test_triangle_crossing_witness_on_convex_hexagon():
             break
     assert found is not None
     i, j, tri = found
-    k, l = triangle_crossing_witness(seq, i, j, tri)
+    k, l = triangle_crossing_witness(ps, seq, i, j, tri)
     assert i <= k < l < j
     assert seq.intermediates[k].pivot in tri
     assert line_crosses_triangle(seq.intermediates[l], tri, ps)
@@ -290,19 +294,20 @@ def test_triangle_crossing_witness_rejects_bad_inputs():
     strict_right = sorted(part0.right - part0.left)[:3]
     with pytest.raises(ValueError):
         # Adjacent states can never hold a triangle on opposite sides.
-        triangle_crossing_witness(seq, 0, 1, tuple(strict_right))
+        triangle_crossing_witness(ps, seq, 0, 1, tuple(strict_right))
     with pytest.raises(ValueError):
-        triangle_crossing_witness(seq, 2, 1, tuple(strict_right))
+        triangle_crossing_witness(ps, seq, 2, 1, tuple(strict_right))
 
 
-def _sweep_cross_products(seq):
-    """Every cross product a scan forms: a state direction against the
-    difference from the state's pivot, or an event's partner, to a point."""
+def _sweep_cross_products(ps, seq):
+    """Every cross product a scan of seq, the sweep of ps, forms: a state
+    direction against the difference from the state's pivot, or an
+    event's partner, to a point."""
     for line, _ in seq.states():
         dx, dy = line.direction
         for center in line.on_line():
-            v = seq.ps[center]
-            for p in seq.ps:
+            v = ps[center]
+            for p in ps:
                 yield dx * (p.y - v.y) - dy * (p.x - v.x)
 
 
@@ -327,7 +332,7 @@ def test_sweep_products_stay_within_the_stated_bit_widths():
             assert max(abs(c) for c in ev.direction) <= 2**31
         for inter in seq.intermediates:
             assert max(abs(c) for c in inter.direction) <= 2**32
-        widest = max(abs(c) for c in _sweep_cross_products(seq))
+        widest = max(abs(c) for c in _sweep_cross_products(ps, seq))
         assert widest <= 2**63
         if ps.points == tuple(corners):
             assert widest == 2**63  # one past the signed 64-bit range

@@ -134,9 +134,7 @@ def reference_sweep(ps):
             break
         events.append(OrientedLine(cur_pivot, t_ev, partner=partner))
         t_after, partner_after = reference_next_alignment(ps, partner, t_ev)
-        intermediates.append(
-            OrientedLine(partner, _add(t_ev, t_after), brackets=(t_ev, t_after))
-        )
+        intermediates.append(OrientedLine(partner, _add(t_ev, t_after)))
         pivots.append(partner)
         cur_pivot = partner
         entering = t_ev
@@ -269,7 +267,7 @@ def test_strictly_between_meets_its_precondition_and_matches_the_reference():
         entering = [d_ref] + event_dirs
         leaving = event_dirs + [t_wrap]
         for inter, bounds in zip(seq.intermediates[1:], zip(entering[1:], leaving[1:])):
-            assert inter.brackets == bounds
+            assert inter.direction == _add(*bounds)
         probes = {d_ref, _neg(d_ref)} | set(event_dirs) | {_neg(d) for d in event_dirs}
         for lo, hi in zip(entering, leaving):
             assert _cross(lo, hi) < 0
