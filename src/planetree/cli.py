@@ -246,8 +246,7 @@ def cmd_rotate(args) -> int:
         print(f"kind={line.kind} pivot={pivots} left=[{left}] right=[{right}]")
     print(
         f"states={2 * len(seq.intermediates)} left_size={seq.left_size} "
-        f"opposite_index={seq.opposite_index} "
-        f"pivot_closure={seq.pivots[0] == seq.pivots[-1]}"
+        f"opposite_index={seq.opposite_index}"
     )
     return 0
 

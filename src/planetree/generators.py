@@ -165,6 +165,11 @@ def random_instance(n: int, seed: int, mode: str = "budgeted") -> Instance:
     mode "budgeted": start complete, repeatedly try to delete a random
     edge, skipping any deletion that would push the disconnected count
     past n-3; the result always satisfies the count <= n-3.
+
+    After the O(n^3) emptiness tables, the deletion loop costs O(m + T)
+    for m = C(n, 2) pairs and T empty triangles: a draw reads its
+    deletion's cost from a per-edge counter in O(1), and a deletion
+    updates the counters of the edge's triangles.
     """
     if n < 3:
         raise ValueError("need at least 3 points")
@@ -175,37 +180,60 @@ def random_instance(n: int, seed: int, mode: str = "budgeted") -> Instance:
     if mode == "complete":
         return Instance(complete_graph(ps))
 
-    # Induced-edge count of each empty triangle, by its position in
-    # `empties`; deleting an edge disconnects the triangles at count 2.
-    # The closing check recounts from the same tables by the candidate
-    # test, so it cross-checks the enumeration too.
+    # Edge ids are positions in the sorted list of the complete graph's
+    # pairs, so drawing from the sorted live ids draws the same position,
+    # and the same edge, as drawing from the sorted live pairs.  Each
+    # empty triangle is stored as its three edge ids, with its
+    # induced-edge count; at_two[e] counts e's empty triangles at count 2,
+    # the ones that deleting e disconnects.  The closing check recounts
+    # from the same tables by the candidate test, so it cross-checks the
+    # enumeration too.
     tables = _below_tables(ps)
+    m = n * (n - 1) // 2
+    base = [i * (2 * n - i - 3) // 2 - 1 for i in range(n)]  # id(i, j) = base[i] + j
     empties = _all_empty(tables)
-    induced = [3] * len(empties)  # complete graph: every pair present
-    by_edge: dict[tuple[int, int], list[int]] = {}
+    sides = memoryview(bytearray(12 * len(empties))).cast("i")  # 3 int32 per triangle
+    by_edge: list[list[int]] = [[] for _ in range(m)]
     for t, (u, v, w) in enumerate(empties):
-        for e in ((u, v), (v, w), (u, w)):
-            by_edge.setdefault(e, []).append(t)
+        s = 3 * t
+        sides[s] = uv = base[u] + v
+        sides[s + 1] = vw = base[v] + w
+        sides[s + 2] = uw = base[u] + w
+        by_edge[uv].append(t)
+        by_edge[vw].append(t)
+        by_edge[uw].append(t)
+    induced = bytearray([3]) * len(empties)  # complete graph: every pair present
+    del empties  # the packed records replace it for the loop and the recount
+    at_two = [0] * m
+    live = bytearray([1]) * m
 
-    # The complete graph's edges, sorted: rng draws by position, and
-    # removals keep the list sorted.
-    edges = list(combinations(range(n), 2))
+    edges = list(range(m))  # sorted; removals keep it sorted
     disconnected = 0
     budget = n - 3
-    for _ in range(3 * len(edges)):
+    for _ in range(3 * m):
         if not edges:
             break
         e = rng.choice(edges)
-        hit = by_edge.get(e, ())
-        delta = sum(1 for t in hit if induced[t] == 2)
+        delta = at_two[e]
         if disconnected + delta > budget:
             continue
-        for t in hit:
-            induced[t] -= 1
+        live[e] = 0
+        for t in by_edge[e]:
+            k = induced[t]
+            induced[t] = k - 1
+            if k == 3:  # the two other edges now disconnect t
+                for f in sides[3 * t : 3 * t + 3]:
+                    if f != e:
+                        at_two[f] += 1
+            elif k == 2:  # the one other live edge no longer does
+                for f in sides[3 * t : 3 * t + 3]:
+                    if live[f]:
+                        at_two[f] -= 1
         disconnected += delta
         del edges[bisect_left(edges, e)]
 
-    result = GeometricGraph(ps, edges)
+    pairs = [pair for pair, kept in zip(combinations(range(n), 2), live) if kept]
+    result = GeometricGraph(ps, pairs)
     check = len(_empty_candidates(tables, result.edges))
     if check != disconnected or check > budget:
         raise GenerationError("incremental disconnected count drifted")

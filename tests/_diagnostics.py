@@ -6,17 +6,20 @@ witness counts.  They keep the all-pairs crossing scan as the reference
 for the crossing sweep that certification and the oracle share, test
 convex position and the connectivity of a triple, draw random graphs
 on points in convex position, and build point sets whose angular sort
-meets float ties.
+meets float ties.  They keep a budgeted deletion loop that sums each
+drawn edge's cost as the reference for the per-edge counter of
+`generators.random_instance`.
 The package itself never calls them.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from itertools import combinations
 from typing import Iterable
 
-from planetree.generators import convex_position_points
+from planetree.generators import convex_position_points, random_point_set
 from planetree.geometry import (
     COORD_LIMIT,
     INTERIOR,
@@ -34,7 +37,7 @@ from planetree.rotation import (
     _add,
     _next_alignment,
 )
-from planetree.triangles import enumerate_empty_triangles
+from planetree.triangles import _all_empty, _below_tables, enumerate_empty_triangles
 
 
 def next_event(line: OrientedLine, ps: PointSet) -> tuple[OrientedLine, OrientedLine]:
@@ -212,3 +215,42 @@ def slope_tie_point_sets(sy: int) -> list[PointSet]:
         rng.shuffle(pts)
         sets.append(PointSet(tuple(pts)))
     return sets
+
+
+def reference_budgeted_edges(n: int, seed: int) -> frozenset[Edge]:
+    """The edges of `random_instance(n, seed)`, by summing the drawn
+    edge's triangles at induced count 2 on every draw.
+
+    The reference for the generator's per-edge counter: the same points,
+    rng draws and budget, O(triangles on the edge) per draw.
+    """
+    rng = random.Random(seed)
+    ps = random_point_set(n, rng)
+
+    # Induced-edge count of each empty triangle, by its position in
+    # `empties`; deleting an edge disconnects the triangles at count 2.
+    empties = _all_empty(_below_tables(ps))
+    induced = [3] * len(empties)  # complete graph: every pair present
+    by_edge: dict[tuple[int, int], list[int]] = {}
+    for t, (u, v, w) in enumerate(empties):
+        for e in ((u, v), (v, w), (u, w)):
+            by_edge.setdefault(e, []).append(t)
+
+    # The complete graph's edges, sorted: rng draws by position, and
+    # removals keep the list sorted.
+    edges = list(combinations(range(n), 2))
+    disconnected = 0
+    budget = n - 3
+    for _ in range(3 * len(edges)):
+        if not edges:
+            break
+        e = rng.choice(edges)
+        hit = by_edge.get(e, ())
+        delta = sum(1 for t in hit if induced[t] == 2)
+        if disconnected + delta > budget:
+            continue
+        for t in hit:
+            induced[t] -= 1
+        disconnected += delta
+        del edges[bisect_left(edges, e)]
+    return frozenset(edges)

@@ -83,7 +83,7 @@ def test_build_complete_random():
     assert len(report.tree.tree_edges) == 7
 
 
-def test_build_base_cases_route_to_oracle():
+def test_build_base_cases_are_closed_form_leaves():
     g3 = complete_graph(convex_position_points(3))
     report = build_plane_tree(g3)
     assert report.tree is not None

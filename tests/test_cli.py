@@ -448,7 +448,10 @@ def test_rotate_points_only(tmp_path, capsys):
     pts.write_text('{"points": [[0, 0], [10, 1], [4, 9], [7, 6], [2, 4]]}')
     code, stdout, _ = run(capsys, "rotate", str(pts))
     assert code == 0
-    assert "pivot_closure=True" in stdout
+    # The start line is reached again after 12 intermediate states, and
+    # the half turn after 6.
+    assert "states=24 " in stdout
+    assert "opposite_index=6" in stdout
     assert "left_size=3" in stdout
     for line in stdout.splitlines():
         if line.startswith("kind=intermediate"):
@@ -457,16 +460,16 @@ def test_rotate_points_only(tmp_path, capsys):
 
 
 # sha256 of the whole `planetree rotate` stdout: every state's kind, pivots
-# and sides, and the closing line with pivot_closure.
+# and sides, and the closing line of counts.
 ROTATE_GOLDEN = [
     pytest.param(
         lambda: r_construction(9)[1],
-        "7ae6b0ad5bb5af8f717503d77f36a29a483b892c8b5ccf485758d96483f8648b",
+        "b9634428bd33802781da2675267d8bf672d428cba17230ca0955b381cc55bb1d",
         id="r_construction-9-complement",
     ),
     pytest.param(
         lambda: random_instance(12, 7),
-        "fc2f988cd96ae7e267630e0b6e3c6da18d71478e4a96233015d7a52cbc3916a2",
+        "670a921dc5e3c64ab5b9bd8c95e6d86dbf0be793899f1394d34b7cf75406aa7e",
         id="budgeted-12-7",
     ),
 ]

@@ -1,9 +1,10 @@
 import hashlib
 
 import pytest
-from _diagnostics import in_convex_position
+from _diagnostics import in_convex_position, reference_budgeted_edges
 
 from planetree import generators
+from planetree.cli import main
 from planetree.generators import (
     DEFAULT_SCALE,
     GenerationError,
@@ -166,6 +167,13 @@ def test_budgeted_generation_fails_when_the_closing_recount_drifts(monkeypatch):
         random_instance(12, seed=3)
 
 
+def test_budgeted_deletions_match_the_sum_per_draw_reference():
+    for n in range(3, 41):
+        for seed in (1, 2, n * 7919):
+            got = random_instance(n, seed).graph.edges
+            assert got == reference_budgeted_edges(n, seed), (n, seed)
+
+
 def test_random_point_set_general_position():
     rng = random.Random(2)
     for _ in range(10):
@@ -224,3 +232,14 @@ GOLDEN = [
 def test_generated_instances_are_byte_stable(make, digest):
     text = dumps_instance(make().graph)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_batch_output_is_byte_stable(capsys):
+    # `planetree batch` generates, builds and (for n <= 9) cross-checks
+    # 40 budgeted instances; stdout holds the totals and one line per
+    # failed trial.
+    assert main(["batch", "--trials", "40", "--n-range", "5:12", "--seed", "3"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "d563872ca172ea020048c0b401fccc7319f40dd9b8e8a9d3d3f8d040953b1e13"
+    )

@@ -192,3 +192,49 @@ def test_one_crossing_sweep_serves_certification_and_the_oracle():
     oracle = Path(planetree.oracle.__file__)
     names = set(_referenced_names(ast.parse(oracle.read_text(), filename=str(oracle))))
     assert "segments_properly_cross" not in names
+
+
+def _tables_reads(tree):
+    """Lines where the result of `_below_tables` is used other than by
+    binding it to plain names or passing it whole to a call."""
+    def tables_call(node):
+        return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_below_tables"
+
+    names, whole = set(), set()  # whole: ids of nodes used as a whole value
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and tables_call(node.value):
+            if all(isinstance(t, ast.Name) for t in node.targets):
+                names.update(t.id for t in node.targets)
+                whole.add(id(node.value))
+        elif isinstance(node, ast.Call):
+            whole.update(id(arg) for arg in [*node.args, *(kw.value for kw in node.keywords)])
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if id(node) not in whole
+        and (tables_call(node) or isinstance(node, ast.Name) and node.id in names
+             and isinstance(node.ctx, ast.Load))
+    ]
+
+
+def test_only_the_triangles_module_reads_the_emptiness_tables():
+    # The emptiness identity lives in `triangles.py` alone: elsewhere the
+    # result of `_below_tables` (order, pos, below) is only passed whole
+    # to that module's functions, never unpacked or indexed.
+    bad = [
+        "order, pos, below = _below_tables(ps)",
+        "tables = _below_tables(ps)\nrows = tables[2]",
+        "tables = _below_tables(ps)\nfor row in tables: pass",
+        "rows = _below_tables(ps)[1]",
+    ]
+    assert all(_tables_reads(ast.parse(src)) for src in bad)
+    assert _tables_reads(ast.parse("t = _below_tables(ps)\nf(t, g(_below_tables(ps)))")) == []
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(Path(planetree.__file__).parent.glob("*.py"))
+        if path.name != "triangles.py"
+        for line in _tables_reads(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert found == []
+    generators = Path(planetree.__file__).parent / "generators.py"
+    assert "_below_tables" in generators.read_text()  # the rule has something to hold
