@@ -57,6 +57,7 @@ from .rotation import (
 from .triangles import Triple, disconnected_empty_triangles
 
 CASE1 = "case1"
+CASE2 = "case2"
 CASE2_1 = "case2.1"
 CASE2_2 = "case2.2"
 CASE3 = "case3"
@@ -70,18 +71,13 @@ class SplitLine:
     """A sweep state whose two closed sides both admit recursion.
 
     `line` is the state and `left_indices`, `right_indices` its closed
-    sides.  `shared`, the points on the line, is derived: the two sides
-    intersected.
+    sides, which share exactly the points on the line.
     """
 
     line: OrientedLine
     left_indices: frozenset[int]
     right_indices: frozenset[int]
     case_tag: str
-
-    @property
-    def shared(self) -> frozenset[int]:
-        return self.left_indices & self.right_indices
 
 
 @dataclass
@@ -132,7 +128,7 @@ def find_valid_split(g: GeometricGraph, witnesses: tuple[Triple, ...]) -> SplitL
     if g.n < 5:
         raise ValueError("splitting needs at least 5 points")
     start: tuple[bool, bool] | None = None
-    for index, (line, part) in enumerate(sweep_states(g.ps)):
+    for line, part in sweep_states(g.ps):
         left, right = part.left, part.right
         if start is None:
             start = (_fits(witnesses, left), _fits(witnesses, right))
@@ -142,7 +138,7 @@ def find_valid_split(g: GeometricGraph, witnesses: tuple[Triple, ...]) -> SplitL
             continue
         if side_partition(line, g.ps) != part:
             raise AssertionError("derived sides differ from the winning line's")
-        return SplitLine(line, left, right, _classify(g, start, index, witnesses))
+        return SplitLine(line, left, right, _classify(g, start, line, witnesses))
     return None
 
 
@@ -162,14 +158,17 @@ def _fits(witnesses: tuple[Triple, ...], side: frozenset[int]) -> bool:
 def _classify(
     g: GeometricGraph,
     start: tuple[bool, bool],
-    winner_index: int,
+    winner: OrientedLine,
     witnesses: tuple[Triple, ...],
 ) -> str:
     """Diagnostic tag: which configuration of the start line led here.
 
     start holds the size condition's verdicts on the start line's left
-    and right sides; winner_index is the winner's place in sweep order
-    (intermediate i at 2i, event i at 2i + 1).
+    and right sides, and winner is the qualifying state.  When both
+    start sides overload, the winner is tagged with the crossing walk's
+    subcase if it is the walk's event line, and CASE2 otherwise.  CASE2
+    is a tag of its own, apart from the FALLBACK of a level with no
+    split; the tests meet it only on graphs over the size condition.
     """
     low_left, low_right = start
     if low_left and low_right:
@@ -180,12 +179,13 @@ def _classify(
         return CASE3
     # Both sides of the start line are overloaded: the qualifying state
     # should be the shifted event line located by the crossing walk.
-    walk = case2_walk(full_rotation(g.ps), witnesses)
+    seq = full_rotation(g.ps)
+    walk = case2_walk(seq, witnesses)
     if walk is not None:
         subcase, event_idx, _ = walk
-        if winner_index == 2 * event_idx + 1:
+        if seq.events[event_idx] == winner:  # a turn meets each event line once
             return subcase
-    return FALLBACK
+    return CASE2
 
 
 def case2_walk(

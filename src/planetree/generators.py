@@ -169,7 +169,10 @@ def random_instance(n: int, seed: int, mode: str = "budgeted") -> Instance:
     After the O(n^3) emptiness tables, the deletion loop costs O(m + T)
     for m = C(n, 2) pairs and T empty triangles: a draw reads its
     deletion's cost from a per-edge counter in O(1), and a deletion
-    updates the counters of the edge's triangles.
+    updates the counters of the edge's triangles.  A triangle's
+    induced-edge count is not stored: it is the number of its edges
+    still live.  The graph never loses its last edge, since an edgeless
+    graph would have at least n-2 disconnected empty triangles.
     """
     if n < 3:
         raise ValueError("need at least 3 points")
@@ -183,11 +186,10 @@ def random_instance(n: int, seed: int, mode: str = "budgeted") -> Instance:
     # Edge ids are positions in the sorted list of the complete graph's
     # pairs, so drawing from the sorted live ids draws the same position,
     # and the same edge, as drawing from the sorted live pairs.  Each
-    # empty triangle is stored as its three edge ids, with its
-    # induced-edge count; at_two[e] counts e's empty triangles at count 2,
-    # the ones that deleting e disconnects.  The closing check recounts
-    # from the same tables by the candidate test, so it cross-checks the
-    # enumeration too.
+    # empty triangle is stored as its three edge ids; at_two[e] counts
+    # e's empty triangles with two live edges, the ones that deleting e
+    # disconnects.  The closing check recounts from the same tables by
+    # the candidate test, so it cross-checks the enumeration too.
     tables = _below_tables(ps)
     m = n * (n - 1) // 2
     base = [i * (2 * n - i - 3) // 2 - 1 for i in range(n)]  # id(i, j) = base[i] + j
@@ -202,8 +204,7 @@ def random_instance(n: int, seed: int, mode: str = "budgeted") -> Instance:
         by_edge[uv].append(t)
         by_edge[vw].append(t)
         by_edge[uw].append(t)
-    induced = bytearray([3]) * len(empties)  # complete graph: every pair present
-    del empties  # the packed records replace it for the loop and the recount
+    del empties  # the packed records replace it for the loop
     at_two = [0] * m
     live = bytearray([1]) * m
 
@@ -211,24 +212,23 @@ def random_instance(n: int, seed: int, mode: str = "budgeted") -> Instance:
     disconnected = 0
     budget = n - 3
     for _ in range(3 * m):
-        if not edges:
-            break
         e = rng.choice(edges)
         delta = at_two[e]
         if disconnected + delta > budget:
             continue
         live[e] = 0
         for t in by_edge[e]:
-            k = induced[t]
-            induced[t] = k - 1
-            if k == 3:  # the two other edges now disconnect t
-                for f in sides[3 * t : 3 * t + 3]:
-                    if f != e:
-                        at_two[f] += 1
-            elif k == 2:  # the one other live edge no longer does
-                for f in sides[3 * t : 3 * t + 3]:
-                    if live[f]:
-                        at_two[f] -= 1
+            a, b, c = sides[3 * t : 3 * t + 3]
+            la, lb, lc = live[a], live[b], live[c]  # e's flag is already 0
+            k = la + lb + lc
+            if k == 2:  # the two other edges now disconnect t
+                at_two[a] += la
+                at_two[b] += lb
+                at_two[c] += lc
+            elif k == 1:  # the one other live edge no longer does
+                at_two[a] -= la
+                at_two[b] -= lb
+                at_two[c] -= lc
         disconnected += delta
         del edges[bisect_left(edges, e)]
 

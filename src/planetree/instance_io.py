@@ -21,10 +21,18 @@ class InstanceFormatError(ValueError):
     """An instance file failed to parse or validate."""
 
 
-def _as_int(value: Any, where: str) -> int:
-    if not is_integer(value):
-        raise InstanceFormatError(f"{where}: expected an integer, got {value!r}")
-    return value
+def _int_pairs(entries: list, name: str, shape: str) -> list[tuple[int, int]]:
+    """A list of [int, int] entries as tuples; an error names the entry
+    by position (`points[1]: expected [x, y]`, `points[1][0]`)."""
+    for idx, entry in enumerate(entries):
+        if not isinstance(entry, list) or len(entry) != 2:
+            raise InstanceFormatError(f"{name}[{idx}]: expected {shape}")
+        for k, value in enumerate(entry):
+            if not is_integer(value):
+                raise InstanceFormatError(
+                    f"{name}[{idx}][{k}]: expected an integer, got {value!r}"
+                )
+    return [(a, b) for a, b in entries]
 
 
 def _decode(text: str, what: str) -> Any:
@@ -57,16 +65,7 @@ def loads_instance(text: str, require_edges: bool = True) -> GeometricGraph:
     raw_points = data["points"]
     if not isinstance(raw_points, list) or not raw_points:
         raise InstanceFormatError("'points' must be a non-empty list")
-    coords = []
-    for idx, entry in enumerate(raw_points):
-        if not isinstance(entry, list) or len(entry) != 2:
-            raise InstanceFormatError(f"points[{idx}]: expected [x, y]")
-        coords.append(
-            (
-                _as_int(entry[0], f"points[{idx}][0]"),
-                _as_int(entry[1], f"points[{idx}][1]"),
-            )
-        )
+    coords = _int_pairs(raw_points, "points", "[x, y]")
     try:
         ps = PointSet.from_coords(coords)
     except ValueError as err:
@@ -113,11 +112,4 @@ def parse_edge_list(arg: str) -> list[tuple[int, int]]:
     data = _decode(arg, "edge list ")
     if not isinstance(data, list):
         raise InstanceFormatError("edge list must be a JSON array")
-    out = []
-    for idx, entry in enumerate(data):
-        if not isinstance(entry, list) or len(entry) != 2:
-            raise InstanceFormatError(f"edge[{idx}]: expected [i, j]")
-        out.append(
-            (_as_int(entry[0], f"edge[{idx}][0]"), _as_int(entry[1], f"edge[{idx}][1]"))
-        )
-    return out
+    return _int_pairs(data, "edge", "[i, j]")

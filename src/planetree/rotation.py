@@ -201,10 +201,11 @@ class RotationSequence:
     intermediates[i] and events[i] alternate: the sweep leaves
     intermediates[i] through events[i] and arrives at
     intermediates[i+1] (cyclically; the last event returns to the start
-    state).  `pivots` is derived from them.  opposite_index is the
-    intermediate state whose interval contains the direction opposite
-    the start line, i.e. the state reached after rotating by exactly a
-    half turn.
+    state, and `sweep_states` raises unless its partner is the start
+    pivot).  Each event's partner is the pivot of the intermediate
+    after it.  opposite_index is the intermediate state whose interval
+    contains the direction opposite the start line, i.e. the state
+    reached after rotating by exactly a half turn.
     """
 
     intermediates: tuple[OrientedLine, ...]
@@ -212,12 +213,6 @@ class RotationSequence:
     opposite_index: int
     intermediate_partitions: tuple[SidePartition, ...]
     event_partitions: tuple[SidePartition, ...]
-
-    @property
-    def pivots(self) -> tuple[int, ...]:
-        """The start pivot followed by each event's partner, so it ends on
-        the start pivot when the last event returns there."""
-        return (self.intermediates[0].pivot,) + tuple(e.partner for e in self.events)
 
     @property
     def left_size(self) -> int:

@@ -90,10 +90,11 @@ def test_criterion_4_rotation_invariants():
             ps = random_point_set(n, rng)
             seq = full_rotation(ps)
             k = (n + 2) // 2  # ceil((n+1)/2)
-            assert seq.pivots[0] == seq.pivots[-1]
-            assert seq.pivots == (seq.intermediates[0].pivot,) + tuple(
-                e.partner for e in seq.events
-            )
+            # Each event's partner pivots the next intermediate; the last one
+            # closes the turn on the start pivot.
+            assert [e.partner for e in seq.events] == [
+                line.pivot for line in seq.intermediates[1:] + seq.intermediates[:1]
+            ]
             count = len(seq.events)
             for idx in range(count):
                 part = seq.intermediate_partitions[idx]

@@ -14,6 +14,7 @@ import planetree.builder
 from planetree.builder import (
     BASE,
     CASE1,
+    CASE2,
     CASE2_1,
     CASE2_2,
     FALLBACK,
@@ -48,7 +49,7 @@ def test_complete_graph_splits_at_start_line():
     split = find_valid_split(g, disconnected_empty_triangles(g).witnesses)
     assert split is not None
     assert split.case_tag == CASE1
-    assert len(split.shared) == 1
+    assert len(split.left_indices & split.right_indices) == 1
     assert split.left_indices | split.right_indices == frozenset(range(8))
 
 
@@ -167,11 +168,11 @@ def test_merge_with_single_shared_vertex():
     rng = random.Random(40)
     g = complete_graph(random_point_set(9, rng))
     split = find_valid_split(g, disconnected_empty_triangles(g).witnesses)
-    assert split is not None and len(split.shared) == 1
+    assert split is not None
+    (shared,) = split.left_indices & split.right_indices
     gl = induced_subgraph(g, split.left_indices)
     gr = induced_subgraph(g, split.right_indices)
     # Stars centered on the shared pivot always certify on each side.
-    shared = next(iter(split.shared))
     merged = merge_side_trees(split, _star(gl, shared), _star(gr, shared))
     assert len(merged) == g.n - 1
     assert isinstance(certify_plane_spanning_tree(g, merged), PlaneTree)
@@ -182,7 +183,7 @@ def _first_event_split(g):
     for line, part in seq.states():
         if line.kind != "event":
             continue
-        return SplitLine(line, part.left, part.right, "fallback")
+        return SplitLine(line, part.left, part.right, CASE2)
     raise AssertionError
 
 
@@ -198,10 +199,11 @@ def test_merge_two_shared_vertices_dedups_on_line_edge():
     rng = random.Random(41)
     g = complete_graph(random_point_set(6, rng))
     split = _first_event_split(g)
-    assert len(split.shared) == 2
+    shared = split.left_indices & split.right_indices
+    assert len(shared) == 2
     gl = induced_subgraph(g, split.left_indices)
     gr = induced_subgraph(g, split.right_indices)
-    a, b = sorted(split.shared)
+    a, b = sorted(shared)
     # Stars rooted at the two shared vertices both contain the on-line
     # edge; the union dedups it and is already a tree.
     left, right = _star(gl, a), _star(gr, b)
@@ -218,11 +220,12 @@ def test_merge_two_shared_vertices_drops_cycle_edge():
     split = _first_event_split(g)
     gl = induced_subgraph(g, split.left_indices)
     gr = induced_subgraph(g, split.right_indices)
-    a, b = sorted(split.shared)
+    shared = split.left_indices & split.right_indices
+    a, b = sorted(shared)
     # Left star holds the on-line edge; the right star is rooted off the
     # split line, so the union closes one cycle across the two shared
     # vertices and the merge must drop exactly one edge.
-    off_line = sorted(split.right_indices - split.shared)[0]
+    off_line = sorted(split.right_indices - shared)[0]
     left, right = _star(gl, a), _star(gr, off_line)
     union = left | right
     assert len(union) == g.n
@@ -236,13 +239,13 @@ def test_merge_rejects_foreign_side_trees():
     rng = random.Random(42)
     g = complete_graph(random_point_set(8, rng))
     split = find_valid_split(g, disconnected_empty_triangles(g).witnesses)
-    shared = next(iter(split.shared))
+    (shared,) = split.left_indices & split.right_indices
     left = _star(induced_subgraph(g, split.left_indices), shared)
     right = _star(induced_subgraph(g, split.right_indices), shared)
     assert len(merge_side_trees(split, left, right)) == g.n - 1
     with pytest.raises(ValueError):
         merge_side_trees(split, right, left)  # each side's edges on the other
-    stray = min(split.right_indices - split.shared)
+    stray = min(split.right_indices - split.left_indices)
     with pytest.raises(ValueError):
         merge_side_trees(split, left | {(shared, stray)}, right)
 

@@ -20,11 +20,11 @@ from test_sweep_kernel import kernel_point_sets
 import planetree.builder as builder
 from planetree.builder import (
     CASE1,
+    CASE2,
     CASE2_1,
     CASE2_2,
     CASE3,
     CASE4,
-    FALLBACK,
     case2_walk,
     find_valid_split,
 )
@@ -69,7 +69,7 @@ def reference_tag(g, seq, winner, witnesses):
         subcase, event_idx, _ = walk
         if winner.kind == EVENT and seq.events[event_idx] is winner:
             return subcase
-    return FALLBACK
+    return CASE2
 
 
 def reference_case2_walk(ps, seq, witnesses):
@@ -164,10 +164,11 @@ def test_lazy_scan_picks_the_reference_winner(monkeypatch):
         assert taken == index + 1
         assert split.line == line
         assert (split.left_indices, split.right_indices) == (left, right)
-        assert split.shared == left & right
         assert split.case_tag == tag
+        if tag == CASE2:  # a winner off the walk: only over the size condition
+            assert disconnected_empty_triangles(g).count > g.n - 3
         tags.add(tag)
-    assert tags == {CASE1, CASE2_1, CASE2_2, CASE3, CASE4, FALLBACK}
+    assert tags == {CASE1, CASE2, CASE2_1, CASE2_2, CASE3, CASE4}
 
 
 

@@ -96,11 +96,8 @@ def test_next_event_requires_intermediate():
 def test_full_rotation_small_triangle_visits_every_pivot():
     ps = PointSet.from_coords([(0, 0), (9, 1), (4, 8)])
     seq = full_rotation(ps)
-    assert set(seq.pivots) == {0, 1, 2}
-    assert seq.pivots[0] == seq.pivots[-1]
-    assert seq.pivots == (seq.intermediates[0].pivot,) + tuple(
-        e.partner for e in seq.events
-    )
+    assert {e.partner for e in seq.events} == {0, 1, 2}
+    assert seq.events[-1].partner == seq.intermediates[0].pivot
 
 
 def test_full_rotation_invariants_external_check():
@@ -109,10 +106,11 @@ def test_full_rotation_invariants_external_check():
         n = rng.randint(3, 16)
         ps = random_point_set(n, rng)
         seq = full_rotation(ps)
-        assert seq.pivots[0] == seq.pivots[-1]
-        assert seq.pivots == (seq.intermediates[0].pivot,) + tuple(
-            e.partner for e in seq.events
-        )
+        # Each event's partner pivots the next intermediate; the last one
+        # closes the turn on the start pivot.
+        assert [e.partner for e in seq.events] == [
+            line.pivot for line in seq.intermediates[1:] + seq.intermediates[:1]
+        ]
         assert len(seq.intermediates) == len(seq.events)
         k = _left_size(n)
         count = len(seq.events)

@@ -59,6 +59,69 @@ def test_every_private_module_level_definition_is_used_in_the_package():
     assert unused == []
 
 
+def _imported_names(tree):
+    return {
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+
+
+def _root_name(node):
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return getattr(node, "id", None)
+
+
+def _attributes_read(node, imported):
+    """Attribute reads under `node` whose receiver is not an imported name.
+
+    `os.path.exists` or `planetree.builder.FALLBACK` read a module's
+    attribute, never a property, so they do not count as reads of a
+    property of the same name.
+    """
+    return Counter(
+        sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Attribute)
+        and isinstance(sub.ctx, ast.Load)
+        and _root_name(sub.value) not in imported
+    )
+
+
+def test_every_property_is_read_by_the_program():
+    # A property is a derived view; one that neither the package, outside
+    # its own definition, nor the benchmark harness reads is dead code,
+    # whatever the tests keep using.  The harness is read with `ast`, not
+    # imported.  A read is matched by attribute name alone, leaving out
+    # reads off an imported module or name; so a property still passes if
+    # an unrelated object elsewhere has an attribute of the same name.
+    trees = {
+        path.name: ast.parse(path.read_text(), filename=str(path))
+        for path in sorted(Path(planetree.__file__).parent.glob("*.py"))
+    }
+    harness = Path(__file__).resolve().parents[1] / "perfbench"
+    readers = [*trees.values(), *(ast.parse(p.read_text()) for p in harness.glob("*.py"))]
+    reads = sum(
+        (_attributes_read(tree, _imported_names(tree)) for tree in readers), Counter()
+    )
+    properties = [
+        (filename, node, _imported_names(tree))
+        for filename, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        and any(getattr(d, "id", None) == "property" for d in node.decorator_list)
+    ]
+    assert len(properties) > 3  # the rule has something to hold
+    unread = [
+        f"{filename}:{node.lineno} {node.name}"
+        for filename, node, imported in properties
+        if reads[node.name] == _attributes_read(node, imported)[node.name]
+    ]
+    assert unread == []
+
+
 MEMOISERS = {"lru_cache", "cache", "cached_property"}
 
 

@@ -192,7 +192,7 @@ def test_full_rotation_matches_the_reference_sweep_state_for_state():
         intermediates, events, pivots, opposite = reference_sweep(ps)
         assert list(seq.intermediates) == intermediates
         assert list(seq.events) == events
-        assert list(seq.pivots) == pivots
+        assert [seq.intermediates[0].pivot] + [e.partner for e in seq.events] == pivots
         assert seq.opposite_index == opposite
         for line, part in seq.states():
             assert _sides(part) == reference_side_partition(line, ps)
