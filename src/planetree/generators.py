@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
@@ -26,9 +27,9 @@ from .geometry import (
 )
 from .graphs import GeometricGraph, complete_graph, find_crossing_pair
 from .triangles import (
-    _all_empty,
     _below_tables,
     _empty_candidates,
+    _empty_walk,
     disconnected_empty_triangles,
 )
 
@@ -166,13 +167,15 @@ def random_instance(n: int, seed: int, mode: str = "budgeted") -> Instance:
     edge, skipping any deletion that would push the disconnected count
     past n-3; the result always satisfies the count <= n-3.
 
-    After the O(n^3) emptiness tables, the deletion loop costs O(m + T)
-    for m = C(n, 2) pairs and T empty triangles: a draw reads its
-    deletion's cost from a per-edge counter in O(1), and a deletion
-    updates the counters of the edge's triangles.  A triangle's
-    induced-edge count is not stored: it is the number of its edges
-    still live.  The graph never loses its last edge, since an edgeless
-    graph would have at least n-2 disconnected empty triangles.
+    Generation costs O(n^2 log n + m + T), for m = C(n, 2) pairs and T
+    empty triangles.  The angular tables take O(n^2 log n), and the
+    visibility walk `triangles._empty_walk` lists the triangles in
+    O(T).  In the deletion loop a draw reads its deletion's cost from a
+    per-edge counter in O(1), and a deletion updates the counters of
+    the edge's triangles.  A triangle's induced-edge count is not
+    stored: it is the number of its edges still live.  The graph never
+    loses its last edge, since an edgeless graph would have at least
+    n-2 disconnected empty triangles.
     """
     if n < 3:
         raise ValueError("need at least 3 points")
@@ -189,22 +192,24 @@ def random_instance(n: int, seed: int, mode: str = "budgeted") -> Instance:
     # empty triangle is stored as its three edge ids; at_two[e] counts
     # e's empty triangles with two live edges, the ones that deleting e
     # disconnects.  The closing check recounts from the same tables by
-    # the candidate test, so it cross-checks the enumeration too.
+    # the below-count test of `_empty_candidates`, not by the walk, so it
+    # cross-checks the enumeration too.
     tables = _below_tables(ps)
     m = n * (n - 1) // 2
     base = [i * (2 * n - i - 3) // 2 - 1 for i in range(n)]  # id(i, j) = base[i] + j
-    empties = _all_empty(tables)
-    sides = memoryview(bytearray(12 * len(empties))).cast("i")  # 3 int32 per triangle
+    sides = array("i")  # 3 edge ids per triangle; by_edge holds each one's offset
     by_edge: list[list[int]] = [[] for _ in range(m)]
-    for t, (u, v, w) in enumerate(empties):
-        s = 3 * t
-        sides[s] = uv = base[u] + v
-        sides[s + 1] = vw = base[v] + w
-        sides[s + 2] = uw = base[u] + w
-        by_edge[uv].append(t)
-        by_edge[vw].append(t)
-        by_edge[uw].append(t)
-    del empties  # the packed records replace it for the loop
+    for u, v, w in _empty_walk(ps, tables):
+        s = len(sides)
+        uv = base[u] + v if u < v else base[v] + u
+        vw = base[v] + w if v < w else base[w] + v
+        uw = base[u] + w if u < w else base[w] + u
+        sides.append(uv)
+        sides.append(vw)
+        sides.append(uw)
+        by_edge[uv].append(s)
+        by_edge[vw].append(s)
+        by_edge[uw].append(s)
     at_two = [0] * m
     live = bytearray([1]) * m
 
@@ -217,11 +222,11 @@ def random_instance(n: int, seed: int, mode: str = "budgeted") -> Instance:
         if disconnected + delta > budget:
             continue
         live[e] = 0
-        for t in by_edge[e]:
-            a, b, c = sides[3 * t : 3 * t + 3]
+        for s in by_edge[e]:
+            a, b, c = sides[s : s + 3]
             la, lb, lc = live[a], live[b], live[c]  # e's flag is already 0
             k = la + lb + lc
-            if k == 2:  # the two other edges now disconnect t
+            if k == 2:  # the two other edges now disconnect the triangle
                 at_two[a] += la
                 at_two[b] += lb
                 at_two[c] += lc

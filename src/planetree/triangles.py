@@ -6,23 +6,27 @@ strictly inside it.  Relative to a graph, an empty triangle is
 Emptiness inside an induced subgraph is always judged against the
 subgraph's own points, not the parent's.
 
-Emptiness is tested in O(1) per triple from per-pair counts of the
-points below each segment (Eppstein, Overmars, Rote and Woeginger,
-"Finding minimum area k-gons", DCG 1992).  Every pair's count is filled
-up front from per-point angular orders, in O(n^2 log n).  Each order
-is sorted by float slope and then made exact: runs of equal floats are
-put in order by the integer cross sign (the rounding argument is at
-`geometry.COORD_LIMIT`).  Enumerating all empty triangles then tests
-every triple, O(n^3) in all; the disconnected count draws only the
-triples that induce at most one edge, tests each as it is drawn, and
-keeps and sorts only the empty ones.
+Every empty triangle is enumerated in O(T), for T of them, after
+per-point angular orders (Dobkin, Edelsbrunner and Overmars,
+"Searching for empty convex polygons", Algorithmica 1990): the points
+after each point, in angular order, form a star-shaped polygon, and a
+visibility walk over it emits each of its triangles once.  Emptiness
+of a given triple is tested in O(1) from per-pair counts of the points
+below each segment (Eppstein, Overmars, Rote and Woeginger, "Finding
+minimum area k-gons", DCG 1992).  Both read one set of tables, filled
+up front in O(n^2 log n).  Each order is sorted by float slope and
+then made exact: runs of equal floats are put in order by the integer
+cross sign (the rounding argument is at `geometry.COORD_LIMIT`).  The
+disconnected count draws only the triples that induce at most one
+edge, tests each as it is drawn, and keeps and sorts only the empty
+ones.
 On a half-plane subset it can instead filter the parent's witnesses,
 which needs no emptiness test at all.  Each call builds the
 counts it reads and passes them down.  One result is memoised: the
 root count, per point set and edge set (`_empty_triples`), so a
-repeated build of the same graph is warm.  The O(n^4) scan of every
-triple against every point is kept in the tests as the independent
-reference.
+repeated build of the same graph is warm.  The tests keep the O(n^3)
+scan of every triple by the below counts and the O(n^4) scan of every
+triple against every point as independent references.
 """
 
 from __future__ import annotations
@@ -31,7 +35,8 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable
+from operator import itemgetter
+from typing import Iterable, Iterator
 
 from .geometry import PointSet
 from .graphs import Edge, GeometricGraph
@@ -44,41 +49,69 @@ Tables = tuple[list[int], list[list[int]], list[list[int]]]
 def enumerate_empty_triangles(ps: PointSet) -> list[Triple]:
     """All empty triangles of ps, sorted lexicographically.
 
-    O(n^3): each triple is tested in O(1) from per-pair below-segment
-    counts (see `_all_empty`).
+    O(n^2 log n + T log T) for T empty triangles: the walk of
+    `_empty_walk`, then one sort.
     """
     if len(ps) < 3:
         raise ValueError("need at least 3 points")
-    return _all_empty(_below_tables(ps))
+    return sorted(tuple(sorted(t)) for t in _empty_walk(ps, _below_tables(ps)))
 
 
-def _all_empty(tables: Tables) -> list[Triple]:
-    """Sorted empty triples of the point set that `tables` describes.
+def _empty_walk(ps: PointSet, tables: Tables) -> Iterator[Triple]:
+    """Each empty triangle of ps once, as three indices in ps, in no set order.
 
-    Each triple is tested in O(1) from the per-pair counts of
-    `_below_tables`.  For ranks a < b, below(a, b) counts the points
-    ranked strictly between them that lie strictly right of a -> b.  A
-    triple a < b < c is empty iff
+    Dobkin, Edelsbrunner and Overmars, "Searching for empty convex
+    polygons" (Algorithmica 1990).  The points ranked after a, in
+    counter-clockwise order about a (the inverse of pos[a]), are a fan
+    q_0, q_1, ... that bounds a polygon star-shaped from a.  The
+    triangle a q_i q_j is empty iff q_i sees q_j inside that polygon, so
+    the edges of its visibility graph are the empty triangles whose
+    least-ranked vertex is a, each once.  PROCEED(j - 1, j) finds the
+    edges that end at q_j:
 
-        below(a, c) == below(a, b) + below(b, c) + [b right of a -> c],
+        PROCEED(i, j):  while q_h, the front of Q_i, turns left at q_i toward q_j:
+                            dequeue h from Q_i; PROCEED(h, j)
+                        emit (i, j); enqueue i on Q_j
 
-    because the points inside are below(a,b) + below(b,c) - below(a,c)
-    when b is left of a -> c, and below(a,c) - below(a,b) - below(b,c) - 1
-    (b itself is below ac) when it is right.  `_empty_candidates` applies
-    the same identity to fewer triples.
+    where Q_i queues the other ends of the edges found to end at q_i.
+    Every nested call shares j, so the calls are one stack of ints, not
+    recursion.  A left turn opens a frame and every other test closes
+    one, and each frame emits one triangle, so the walk makes at most 2T
+    turn tests for its T triangles after the sorts.  The turn test is
+    the exact integer cross sign.
     """
-    order, pos, below = tables
+    order, pos, _ = tables
     n = len(order)
-    found = []
+    xs = [ps[i].x for i in order]
+    ys = [ps[i].y for i in order]
     for a in range(n - 2):
-        pa, ba = pos[a], below[a]
-        for b in range(a + 1, n - 1):
-            pab, bab, bb = pa[b], ba[b], below[b]
-            for c in range(b + 1, n):
-                if ba[c] == bab + bb[c] + (pab < pa[c]):
-                    found.append(tuple(sorted((order[a], order[b], order[c]))))
-    found.sort()
-    return found
+        fan = sorted(range(a + 1, n), key=pos[a].__getitem__)
+        get = itemgetter(*fan)  # at least two ranks, so it returns tuples
+        fx, fy, ids = get(xs), get(ys), get(order)
+        u = order[a]
+        queues: list[list[int]] = [[]]  # Q_j is built at step j, then reversed: front last
+        for j in range(1, len(fan)):
+            xj, yj, v = fx[j], fy[j], ids[j]
+            ends: list[int] = []
+            stack: list[int] = []  # the open frames under frame i
+            i = j - 1
+            while True:
+                q = queues[i]
+                if q:
+                    h = q[-1]
+                    xh, yh = fx[h], fy[h]
+                    if (fx[i] - xh) * (yj - yh) > (fy[i] - yh) * (xj - xh):
+                        q.pop()
+                        stack.append(i)
+                        i = h
+                        continue
+                yield u, ids[i], v
+                ends.append(i)
+                if not stack:
+                    break
+                i = stack.pop()
+            ends.reverse()
+            queues.append(ends)
 
 
 def _empty_candidates(tables: Tables, edges: frozenset[Edge]) -> list[Triple]:
@@ -87,9 +120,18 @@ def _empty_candidates(tables: Tables, edges: frozenset[Edge]) -> list[Triple]:
     Such a triple has two non-edges at a shared vertex v, so it is drawn
     once from a pair a < b of v's non-neighbours: at v < a when all
     three pairs are non-edges, and otherwise only when ab is an edge.
-    The draw runs over ranks, and each triple is tested by the identity
-    of `_all_empty` as it is drawn; only the triples kept are mapped
-    back and sorted.
+    The draw runs over ranks, and each triple is tested in O(1) as it
+    is drawn; only the triples kept are mapped back and sorted.
+
+    For ranks a < b, below(a, b) counts the points ranked strictly
+    between them that lie strictly right of a -> b.  A triple x < y < z
+    is empty iff
+
+        below(x, z) == below(x, y) + below(y, z) + [y right of x -> z],
+
+    because the points inside are below(x,y) + below(y,z) - below(x,z)
+    when y is left of x -> z, and below(x,z) - below(x,y) - below(y,z) - 1
+    (y itself is below xz) when it is right.
     """
     order, pos, below = tables
     n = len(order)

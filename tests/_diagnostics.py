@@ -6,9 +6,10 @@ witness counts.  They keep the all-pairs crossing scan as the reference
 for the crossing sweep that certification and the oracle share, test
 convex position and the connectivity of a triple, draw random graphs
 on points in convex position, and build point sets whose angular sort
-meets float ties.  They keep a budgeted deletion loop that sums each
-drawn edge's cost as the reference for the per-edge counter of
-`generators.random_instance`.
+meets float ties.  They keep the O(n^3) scan of every triple by the
+below counts as the reference for the visibility walk, and a budgeted
+deletion loop that sums each drawn edge's cost as the reference for
+the per-edge counter of `generators.random_instance`.
 The package itself never calls them.
 """
 
@@ -37,7 +38,7 @@ from planetree.rotation import (
     _add,
     _next_alignment,
 )
-from planetree.triangles import _all_empty, _below_tables, enumerate_empty_triangles
+from planetree.triangles import Tables, Triple, _below_tables, enumerate_empty_triangles
 
 
 def next_event(line: OrientedLine, ps: PointSet) -> tuple[OrientedLine, OrientedLine]:
@@ -217,6 +218,26 @@ def slope_tie_point_sets(sy: int) -> list[PointSet]:
     return sets
 
 
+def all_empty_triples(tables: Tables) -> list[Triple]:
+    """The O(n^3) reference for `triangles._empty_walk`: the sorted
+    empty triples of the point set that `tables` describes, every
+    triple tested in O(1) by the below-count identity of
+    `triangles._empty_candidates`.
+    """
+    order, pos, below = tables
+    n = len(order)
+    found = []
+    for a in range(n - 2):
+        pa, ba = pos[a], below[a]
+        for b in range(a + 1, n - 1):
+            pab, bab, bb = pa[b], ba[b], below[b]
+            for c in range(b + 1, n):
+                if ba[c] == bab + bb[c] + (pab < pa[c]):
+                    found.append(tuple(sorted((order[a], order[b], order[c]))))
+    found.sort()
+    return found
+
+
 def reference_budgeted_edges(n: int, seed: int) -> frozenset[Edge]:
     """The edges of `random_instance(n, seed)`, by summing the drawn
     edge's triangles at induced count 2 on every draw.
@@ -229,7 +250,7 @@ def reference_budgeted_edges(n: int, seed: int) -> frozenset[Edge]:
 
     # Induced-edge count of each empty triangle, by its position in
     # `empties`; deleting an edge disconnects the triangles at count 2.
-    empties = _all_empty(_below_tables(ps))
+    empties = all_empty_triples(_below_tables(ps))
     induced = [3] * len(empties)  # complete graph: every pair present
     by_edge: dict[tuple[int, int], list[int]] = {}
     for t, (u, v, w) in enumerate(empties):

@@ -1,20 +1,25 @@
 """Fast paths against their slow references.
 
-Emptiness is tested in O(1) per triple from per-pair below-segment
-counts, the root count tests only triples with at most one edge, and a
-sweep side filters its parent's witnesses instead of testing anything.
-All must give exactly the triples of the independent area-identity scan
-`brute_empty_triples`, which shares no code with them.  The crossing
-sweep must find the pairs of the all-pairs scan, and the certifier must
-return that scan's witness.
+Empty triangles are enumerated by visibility walks over each point's
+angular order, the root count tests only triples with at most one edge
+in O(1) each from per-pair below-segment counts, and a sweep side
+filters its parent's witnesses instead of testing anything.  All must
+give exactly the triples of the independent area-identity scan
+`brute_empty_triples`, which shares no code with them; the walk must
+also give those of the O(n^3) scan of every triple by the below counts.
+The crossing sweep must find the pairs of the all-pairs scan, and the
+certifier must return that scan's witness.
 """
 
 import random
+import sys
 import tracemalloc
 from itertools import combinations
+from math import comb
 
 import pytest
 from _diagnostics import (
+    all_empty_triples,
     all_pairs_crossing_pair,
     all_pairs_crossing_positions,
     slope_tie_point_sets,
@@ -48,9 +53,9 @@ from planetree.graphs import (
 )
 from planetree.rotation import full_rotation
 from planetree.triangles import (
-    _all_empty,
     _below_tables,
     _empty_candidates,
+    _empty_walk,
     disconnected_empty_triangles,
     enumerate_empty_triangles,
 )
@@ -95,8 +100,79 @@ def test_the_root_count_peak_memory_stays_near_its_result():
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert found == _all_empty(tables)
+    assert found == all_empty_triples(tables)
     assert peak < 3 * held
+
+
+def _walk(ps):
+    """The walk's triangles, each sorted, after checking that none of
+    them comes out twice."""
+    found = [tuple(sorted(t)) for t in _empty_walk(ps, _below_tables(ps))]
+    assert len(found) == len(set(found))
+    return sorted(found)
+
+
+def test_the_visibility_walk_matches_both_references():
+    # The area scan is O(n^4): it checks one random set per size, the
+    # families, and one slope-tie set per sign.
+    rng = random.Random(1990)
+    for n in range(3, 41):
+        for seed in range(4):
+            ps = random_point_set(n, rng)
+            walk = _walk(ps)
+            assert walk == all_empty_triples(_below_tables(ps)), (n, seed)
+            if seed == 0:
+                assert walk == brute_empty_triples(ps), n
+    ties = slope_tie_point_sets(1) + slope_tie_point_sets(-1)
+    families = [path_complement(n).graph.ps for n in range(3, 16)]
+    families += [r_construction(n)[0].graph.ps for n in range(5, 16)]
+    for k, ps in enumerate(ties + families):
+        walk = _walk(ps)
+        assert walk == all_empty_triples(_below_tables(ps))
+        if k in (0, len(ties) // 2) or k >= len(ties):
+            assert walk == brute_empty_triples(ps)
+    # In convex position every triple is empty.
+    assert _walk(convex_position_points(100)) == list(combinations(range(100), 3))
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def _reflex_fan(k):
+    """a = (0, -H), p = (0, 1 - H) and k points on y = x^2 above them.
+
+    Seen from a or p, the parabola points turn toward it, so each sees
+    only its neighbours; from a, p comes last and sees them all.  A
+    recursive walk from a nests k deep at p.  Empty triangles: every
+    triple on the parabola, the k - 1 neighbour pairs with a and again
+    with p, and a p c for each of the k points c, so C(k, 3) + 3k - 2.
+    """
+    h = 4 * k * k
+    parabola = (Point(x, x * x) for x in range(1, k + 1))
+    return PointSet((Point(0, -h), Point(0, 1 - h), *parabola))
+
+
+def test_the_walk_needs_no_recursion():
+    # In convex position every turn is a left turn, but each queue
+    # empties as it goes, so a recursive walk nests only 2 deep there;
+    # the reflex fan makes it nest 118 deep.
+    cases = [
+        (convex_position_points(120), comb(120, 3)),
+        (_reflex_fan(118), comb(118, 3) + 3 * 118 - 2),
+    ]
+    for ps, count in cases:
+        tables = _below_tables(ps)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(_stack_depth() + 40)
+        try:
+            found = sum(1 for _ in _empty_walk(ps, tables))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert found == count
 
 
 def test_root_count_matches_reference_on_families():
