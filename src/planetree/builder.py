@@ -5,10 +5,13 @@ stop at the first line both of whose closed sides satisfy the inductive
 size condition (disconnected empty triangles <= side size - 3).  The
 sweep derives each state's sides from the side laws, and the scan
 recomputes only the winner's from the points, one pass per split; the
-rest of the turn is never computed.  Each side is solved
-recursively and the two side trees are merged across the split line.
-A side of 3 or 4 points is a leaf: `_leaf_edges` decides it in closed
-form from the parent's edge set, with no induced graph and no oracle.
+rest of the turn is never computed.
+
+One function, `_build`, is the induction on a closed side of a graph:
+a side of 3 or 4 points is a leaf, which `_leaf_edges` decides in
+closed form with no induced graph and no oracle; a proper side of 5 or
+more is solved on its induced graph; the whole graph is split, each
+side solved, and the two trees merged across the split line.
 
 When no split exists (the size condition fails) or a side has no tree,
 the level falls back to an exact decision on its whole graph.  Points
@@ -278,7 +281,7 @@ def build_plane_tree(g: GeometricGraph) -> BuildReport:
     if len(witnesses) > g.n - 3:
         report.precondition_violated = True
     try:
-        edges = _build(g, witnesses, report, 1)
+        edges = _build(g, range(g.n), witnesses, report, 1)
     except _OracleBudgetSpent:
         report.oracle_budget_exceeded = True
         return report
@@ -292,15 +295,29 @@ def build_plane_tree(g: GeometricGraph) -> BuildReport:
 
 def _build(
     g: GeometricGraph,
+    side: Collection[int],
     witnesses: tuple[Triple, ...],
     report: BuildReport,
     depth: int,
-) -> frozenset[Edge] | None:
-    """Edges of a plane spanning tree of g, or None; witnesses are g's
-    disconnected empty triangles."""
-    if g.n <= 4:
-        return _leaf(g, range(g.n), report, depth)
+) -> Collection[Edge] | None:
+    """Tree edges of g on the closed side `side`, in g's indices, or None;
+    witnesses are g's disconnected empty triangles.
+
+    A leaf is decided in place.  A larger proper side is solved on its
+    induced graph, which inherits g's witnesses since it is a closed
+    half-plane.  The whole of g is split and each side solved; both are
+    proper, as each misses a point of the other's 3 or more, at most 2
+    of them on the line.
+    """
     report.max_depth = max(report.max_depth, depth)
+    if len(side) <= 4:
+        report.trace.append((len(side), BASE))
+        return _leaf_edges(g, side)
+    if len(side) < g.n:
+        sub = induced_subgraph(g, side)
+        sub_witnesses = disconnected_empty_triangles(sub, inherited=witnesses).witnesses
+        edges = _build(sub, range(sub.n), sub_witnesses, report, depth)
+        return None if edges is None else sub.to_parent(edges)
 
     split = find_valid_split(g, witnesses)
     if split is None:
@@ -310,43 +327,14 @@ def _build(
         return _fallback_edges(g)
 
     report.trace.append((g.n, split.case_tag))
-    left_edges = _side_edges(g, split.left_indices, witnesses, report, depth + 1)
-    right_edges = _side_edges(g, split.right_indices, witnesses, report, depth + 1)
+    left_edges = _build(g, split.left_indices, witnesses, report, depth + 1)
+    right_edges = _build(g, split.right_indices, witnesses, report, depth + 1)
     if left_edges is None or right_edges is None:
         # The sides were chosen to satisfy the size condition, so this
         # cannot happen unless something upstream is broken.
         report.theorem_gap_fallback_used = True
         return _fallback_edges(g)
     return merge_side_trees(split, left_edges, right_edges)
-
-
-def _side_edges(
-    g: GeometricGraph,
-    side: frozenset[int],
-    witnesses: tuple[Triple, ...],
-    report: BuildReport,
-    depth: int,
-) -> Iterable[Edge] | None:
-    """Tree edges of one closed side of g, in g's indices, or None.
-
-    A leaf is decided in place.  A larger side is built on its induced
-    graph, which inherits g's witnesses since it is a closed half-plane.
-    """
-    if len(side) <= 4:
-        return _leaf(g, side, report, depth)
-    sub = induced_subgraph(g, side)
-    sub_witnesses = disconnected_empty_triangles(sub, inherited=witnesses).witnesses
-    edges = _build(sub, sub_witnesses, report, depth)
-    return None if edges is None else sub.to_parent(edges)
-
-
-def _leaf(
-    g: GeometricGraph, side: Collection[int], report: BuildReport, depth: int
-) -> frozenset[Edge] | None:
-    """Record a leaf of 3 or 4 points in the report and decide it."""
-    report.max_depth = max(report.max_depth, depth)
-    report.trace.append((len(side), BASE))
-    return _leaf_edges(g, side)
 
 
 def _leaf_edges(g: GeometricGraph, side: Iterable[int]) -> frozenset[Edge] | None:

@@ -171,17 +171,22 @@ def _direction_clash(p: Point, others: Sequence[Point]) -> tuple[int, ...]:
 class PointSet:
     """Immutable indexed point set in general position.
 
-    Validation happens here, once: coordinate bound and general position,
-    the latter in O(n^2) (`in_general_position`).  A GeneralPositionError
-    names the offending points.  `subset` skips it, because a subset of a
-    validated set needs none.  All downstream predicates may then assume
+    `points`, any iterable of Points, is stored as a tuple.  Validation
+    happens here, once: each entry a Point with int coordinates within
+    the bound (a ValueError names the first bad one by index), and
+    general position in O(n^2) (`in_general_position`), where a
+    GeneralPositionError names the offending points.  `subset` skips it,
+    because a subset of a validated set needs none.  All downstream predicates may then assume
     exactness and non-degeneracy.
     """
 
     points: tuple[Point, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "points", tuple(self.points))
         for i, p in enumerate(self.points):
+            if not isinstance(p, Point):
+                raise ValueError(f"point {i} is not a Point: {p!r}")
             if not (is_integer(p.x) and is_integer(p.y)):
                 raise ValueError(f"point {i} = ({p.x!r}, {p.y!r}) has a non-integer coordinate")
             if abs(p.x) > COORD_LIMIT or abs(p.y) > COORD_LIMIT:

@@ -25,9 +25,11 @@ def canonical_edge(i: int, j: int) -> Edge:
 @dataclass(frozen=True)
 class GeometricGraph:
     """Straight-line edges over a PointSet.  `edges` may be any iterable of
-    index pairs.  This is the one place edges are validated: each pair is
-    checked once, and a ValueError names the first bad one.  The edges
-    are stored as a frozenset of canonical pairs."""
+    index pairs.  This is the one place edges are validated: each entry
+    must be a pair of distinct in-range ints (not bools), and a
+    ValueError names the first bad one; a string, a mapping or anything
+    that does not unpack into two values is no pair.  The edges are
+    stored as a frozenset of canonical pairs."""
 
     ps: PointSet
     edges: frozenset[Edge]
@@ -37,9 +39,15 @@ class GeometricGraph:
     def __post_init__(self) -> None:
         n = len(self.ps)
         canon = set()
-        for i, j in self.edges:
+        for entry in self.edges:
+            try:
+                i, j = entry
+            except (TypeError, ValueError):
+                raise ValueError(f"expected [i, j], got {entry!r}") from None
             # `is_integer`, inlined: this runs for every edge of every graph.
             if type(i) is not int or type(j) is not int:
+                if not isinstance(entry, (tuple, list)):  # a string or a dict unpacks too
+                    raise ValueError(f"expected [i, j], got {entry!r}")
                 raise ValueError(f"edge ({i!r}, {j!r}) has a non-integer index")
             if i == j:
                 raise ValueError(f"edge ({i}, {j}) is a self-loop")

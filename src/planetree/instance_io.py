@@ -2,7 +2,7 @@
 
 The loader checks the file's shape and integer coordinates, naming a bad
 one by position (`points[1][0]`).  `GeometricGraph` checks the edges;
-its error becomes `invalid edges: ...` and names the pair.  Dumps are
+its error becomes `invalid edges: ...` and names the entry.  Dumps are
 canonical (sorted keys, points in index order, edges as sorted canonical
 pairs) so a generate/load/dump round trip is byte-exact.
 """
@@ -78,9 +78,6 @@ def loads_instance(text: str, require_edges: bool = True) -> GeometricGraph:
         raw_edges = []
     if not isinstance(raw_edges, list):
         raise InstanceFormatError(f"invalid edges: expected a list, got {raw_edges!r}")
-    for entry in raw_edges:
-        if not isinstance(entry, list) or len(entry) != 2:
-            raise InstanceFormatError(f"invalid edges: expected [i, j], got {entry!r}")
     try:
         return GeometricGraph(ps, raw_edges)
     except ValueError as err:

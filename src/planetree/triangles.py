@@ -23,10 +23,10 @@ ones.
 On a half-plane subset it can instead filter the parent's witnesses,
 which needs no emptiness test at all.  Each call builds the
 counts it reads and passes them down.  One result is memoised: the
-root count, per point set and edge set (`_empty_triples`), so a
-repeated build of the same graph is warm.  The tests keep the O(n^3)
-scan of every triple by the below counts and the O(n^4) scan of every
-triple against every point as independent references.
+last graph's root count (`_empty_triples`), so a build repeated back
+to back is warm and no earlier graph is kept alive.  The tests keep
+the O(n^3) scan of every triple by the below counts and the O(n^4)
+scan of every triple against every point as independent references.
 """
 
 from __future__ import annotations
@@ -157,13 +157,14 @@ def _empty_candidates(tables: Tables, edges: frozenset[Edge]) -> list[Triple]:
     return empty
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=1)
 def _empty_triples(ps: PointSet, edges: frozenset[Edge]) -> tuple[Triple, ...]:
-    """`_empty_candidates` of ps and edges, memoised per point set and edge set.
+    """`_empty_candidates` of ps and edges, memoised for the last graph only.
 
-    The one cache of the package: the builder's root count, so that a
-    repeated build of the same graph reads it instead of testing again.
-    `perfbench` clears it before every timed build.
+    The one cache of the package: the builder's root count, so that
+    building the last graph again reads it instead of testing again, and
+    a dropped graph is freed once the next one is counted.  `perfbench`
+    clears it before every timed build.
     """
     return tuple(_empty_candidates(_below_tables(ps), edges))
 

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import os
 import random
@@ -370,6 +371,9 @@ def test_a_build_is_certified_once_at_the_root(monkeypatch):
 # flags) of a fixed corpus: budgeted instances n=5..12, r-constructions
 # n=6..29 and path complements n=5..11.
 GOLDEN_BUILDS = "23829a371cfa2b14755d7f9b44e470c3295fdc896d8d8a4675f91444ae9371e2"
+# sha256 of the JSON list of each build's max_depth over the same corpus,
+# which `to_text` leaves out.
+GOLDEN_DEPTHS = "4e27311a7a2d1b0c330056ac59c15745788fd39775c93a3f07845aff03637e0e"
 
 
 def test_build_reports_are_byte_stable():
@@ -379,8 +383,11 @@ def test_build_reports_are_byte_stable():
     ]
     graphs += [r_construction(n)[1].graph for n in range(6, 30)]
     graphs += [path_complement(n).graph for n in range(5, 12)]
-    text = "".join(build_plane_tree(g).to_text() for g in graphs)
+    reports = [build_plane_tree(g) for g in graphs]
+    text = "".join(report.to_text() for report in reports)
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_BUILDS
+    depths = json.dumps([report.max_depth for report in reports])
+    assert hashlib.sha256(depths.encode()).hexdigest() == GOLDEN_DEPTHS
 
 
 SOUNDNESS_UNDER_O = """

@@ -11,9 +11,11 @@ The crossing sweep must find the pairs of the all-pairs scan, and the
 certifier must return that scan's witness.
 """
 
+import gc
 import random
 import sys
 import tracemalloc
+import weakref
 from itertools import combinations
 from math import comb
 
@@ -102,6 +104,18 @@ def test_the_root_count_peak_memory_stays_near_its_result():
         tracemalloc.stop()
     assert found == all_empty_triples(tables)
     assert peak < 3 * held
+
+
+def test_the_root_count_cache_keeps_only_the_last_graph():
+    # The cache holds one entry: a graph built and dropped is freed once
+    # the next graph is counted, and is not kept alive by its key.
+    g = random_instance(20, seed=11).graph
+    first = weakref.ref(g.ps)
+    assert build_plane_tree(g).tree is not None
+    del g
+    assert build_plane_tree(random_instance(20, seed=12).graph).tree is not None
+    gc.collect()
+    assert first() is None
 
 
 def _walk(ps):

@@ -4,6 +4,7 @@ import pytest
 from _diagnostics import in_convex_position
 from hypothesis import given, strategies as st
 
+from planetree.builder import build_plane_tree
 from planetree.geometry import (
     BOUNDARY,
     COORD_LIMIT,
@@ -18,6 +19,7 @@ from planetree.geometry import (
     point_in_triangle,
     segments_properly_cross,
 )
+from planetree.graphs import complete_graph
 
 coords = st.integers(min_value=-(2**20), max_value=2**20)
 points = st.builds(Point, coords, coords)
@@ -125,6 +127,25 @@ def test_pointset_rejects_a_non_integer_coordinate(coords, detail):
     assert detail in str(err.value)
     with pytest.raises(ValueError, match="non-integer coordinate"):
         PointSet(tuple(Point(x, y) for x, y in coords))
+
+
+def test_a_point_set_stores_its_points_as_a_tuple():
+    # Stored as a tuple, the point set hashes, so a build can key its root
+    # count on it.
+    points = [Point(0, 0), Point(6, 1), Point(2, 7), Point(9, 5), Point(3, 3)]
+    ps = PointSet(points)
+    assert ps.points == tuple(points)
+    assert ps == PointSet(tuple(points)) and hash(ps) == hash(PointSet(tuple(points)))
+    assert build_plane_tree(complete_graph(ps)).tree is not None
+
+
+def test_pointset_refuses_an_entry_that_is_not_a_point():
+    with pytest.raises(ValueError) as err:
+        PointSet(((0, 0), (1, 1)))
+    assert str(err.value) == "point 0 is not a Point: (0, 0)"
+    with pytest.raises(ValueError) as err:
+        PointSet([Point(0, 0), Point(4, 1), [2, 7]])
+    assert str(err.value) == "point 2 is not a Point: [2, 7]"
 
 
 def test_convex_position_examples():

@@ -28,12 +28,19 @@ def test_edges_canonicalized():
     assert g.edges == frozenset({(0, 2), (1, 3)})
 
 
-@pytest.mark.parametrize("edge", [(0.0, 1), (0, 1.0), (True, 2), (0, "1")])
+@pytest.mark.parametrize(
+    "edge", [(0.0, 1), (0, 1.0), (True, 2), (0, "1"), 5, (0, 1, 2), (0,), "01"]
+)
 def test_graph_rejects_a_non_integer_index(edge):
+    # The last four are no pair at all, and the error names the entry; a
+    # string unpacks into two characters but is no pair either.
     ps = convex_position_points(4)
-    with pytest.raises(ValueError, match="non-integer index") as err:
-        GeometricGraph(ps, frozenset({(2, 3), edge}))
-    assert repr(edge) in str(err.value)
+    with pytest.raises(ValueError) as err:
+        GeometricGraph(ps, [(2, 3), edge])
+    if isinstance(edge, tuple) and len(edge) == 2:
+        assert str(err.value) == f"edge ({edge[0]!r}, {edge[1]!r}) has a non-integer index"
+    else:
+        assert str(err.value) == f"expected [i, j], got {edge!r}"
 
 
 def test_self_loop_rejected():

@@ -224,6 +224,35 @@ def test_only_build_plane_tree_counts_the_root_witnesses():
     assert _callers(path, root_count) == ["builder.build_plane_tree"]
 
 
+def test_the_builder_has_one_recursive_function():
+    # The induction has one home: `_build` solves every closed side (a
+    # leaf, a proper side or the whole graph) by calling itself, and no
+    # other function of the builder lies on a cycle of calls.
+    path = Path(planetree.builder.__file__)
+    tree = ast.parse(path.read_text(), filename=str(path))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    calls = {
+        name: {
+            sub.func.id
+            for sub in ast.walk(node)
+            if isinstance(sub, ast.Call) and getattr(sub.func, "id", None) in functions
+        }
+        for name, node in functions.items()
+    }
+
+    def reached(name):
+        seen, todo = set(), list(calls[name])
+        while todo:
+            callee = todo.pop()
+            if callee not in seen:
+                seen.add(callee)
+                todo += calls[callee]
+        return seen
+
+    assert [name for name in functions if name in reached(name)] == ["_build"]
+    assert "_build" in calls["_build"]
+
+
 def test_only_one_helper_decodes_json():
     # One decoder turns every decoding failure into a format error.
     def json_loads(call):
