@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import random
-from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
@@ -167,15 +166,21 @@ def random_instance(n: int, seed: int, mode: str = "budgeted") -> Instance:
     edge, skipping any deletion that would push the disconnected count
     past n-3; the result always satisfies the count <= n-3.
 
-    Generation costs O(n^2 log n + m + T), for m = C(n, 2) pairs and T
-    empty triangles.  The angular tables take O(n^2 log n), and the
-    visibility walk `triangles._empty_walk` lists the triangles in
-    O(T).  In the deletion loop a draw reads its deletion's cost from a
-    per-edge counter in O(1), and a deletion updates the counters of
-    the edge's triangles.  A triangle's induced-edge count is not
-    stored: it is the number of its edges still live.  The graph never
-    loses its last edge, since an edgeless graph would have at least
-    n-2 disconnected empty triangles.
+    Generation costs O(n^2 log n + m + T + P), for m = C(n, 2) pairs, T
+    empty triangles and P = sum over v of C(d_v, 2), d_v being v's
+    number of non-neighbours in the result.  The angular tables take
+    O(n^2 log n), and the visibility walk `triangles._empty_walk` lists
+    the triangles in O(T), filing each triangle's third vertex under
+    each of its edges.  In the deletion loop a draw reads its
+    deletion's cost from a per-edge counter in O(1), and a deletion
+    updates the counters of the other two edges of each of its
+    triangles.  A triangle's induced-edge count is not stored: it is
+    the number of its edges still live.  The closing recount by
+    `_empty_candidates` tests the P pairs of non-neighbours; about a
+    fifth of a budgeted graph's pairs are non-edges, so P is Theta(n^3)
+    and leads at large n.  The graph never loses its last edge, since
+    an edgeless graph would have at least n-2 disconnected empty
+    triangles.
     """
     if n < 3:
         raise ValueError("need at least 3 points")
@@ -186,30 +191,23 @@ def random_instance(n: int, seed: int, mode: str = "budgeted") -> Instance:
     if mode == "complete":
         return Instance(complete_graph(ps))
 
-    # Edge ids are positions in the sorted list of the complete graph's
-    # pairs, so drawing from the sorted live ids draws the same position,
-    # and the same edge, as drawing from the sorted live pairs.  Each
-    # empty triangle is stored as its three edge ids; at_two[e] counts
-    # e's empty triangles with two live edges, the ones that deleting e
-    # disconnects.  The closing check recounts from the same tables by
-    # the below-count test of `_empty_candidates`, not by the walk, so it
-    # cross-checks the enumeration too.
+    # Edge ids are positions in `ends`, the sorted list of the complete
+    # graph's pairs, so drawing from the sorted live ids draws the same
+    # position, and the same edge, as drawing from the sorted live pairs.
+    # thirds[e] lists the third vertex of each empty triangle on edge e;
+    # at_two[e] counts e's empty triangles with two live edges, the ones
+    # that deleting e disconnects.  The closing check recounts from the
+    # same tables by the below-count test of `_empty_candidates`, not by
+    # the walk, so it cross-checks the enumeration too.
     tables = _below_tables(ps)
-    m = n * (n - 1) // 2
+    ends = list(combinations(range(n), 2))
+    m = len(ends)
     base = [i * (2 * n - i - 3) // 2 - 1 for i in range(n)]  # id(i, j) = base[i] + j
-    sides = array("i")  # 3 edge ids per triangle; by_edge holds each one's offset
-    by_edge: list[list[int]] = [[] for _ in range(m)]
+    thirds: list[list[int]] = [[] for _ in range(m)]
     for u, v, w in _empty_walk(ps, tables):
-        s = len(sides)
-        uv = base[u] + v if u < v else base[v] + u
-        vw = base[v] + w if v < w else base[w] + v
-        uw = base[u] + w if u < w else base[w] + u
-        sides.append(uv)
-        sides.append(vw)
-        sides.append(uw)
-        by_edge[uv].append(s)
-        by_edge[vw].append(s)
-        by_edge[uw].append(s)
+        thirds[base[u] + v if u < v else base[v] + u].append(w)
+        thirds[base[v] + w if v < w else base[w] + v].append(u)
+        thirds[base[u] + w if u < w else base[w] + u].append(v)
     at_two = [0] * m
     live = bytearray([1]) * m
 
@@ -222,22 +220,21 @@ def random_instance(n: int, seed: int, mode: str = "budgeted") -> Instance:
         if disconnected + delta > budget:
             continue
         live[e] = 0
-        for s in by_edge[e]:
-            a, b, c = sides[s : s + 3]
-            la, lb, lc = live[a], live[b], live[c]  # e's flag is already 0
-            k = la + lb + lc
-            if k == 2:  # the two other edges now disconnect the triangle
-                at_two[a] += la
-                at_two[b] += lb
-                at_two[c] += lc
-            elif k == 1:  # the one other live edge no longer does
-                at_two[a] -= la
-                at_two[b] -= lb
-                at_two[c] -= lc
+        i, j = ends[e]
+        for c in thirds[e]:
+            a = base[i] + c if i < c else base[c] + i
+            b = base[j] + c if j < c else base[c] + j
+            if live[a] and live[b]:  # deleting either now disconnects it
+                at_two[a] += 1
+                at_two[b] += 1
+            elif live[a]:  # the one other live edge no longer does
+                at_two[a] -= 1
+            elif live[b]:
+                at_two[b] -= 1
         disconnected += delta
         del edges[bisect_left(edges, e)]
 
-    pairs = [pair for pair, kept in zip(combinations(range(n), 2), live) if kept]
+    pairs = [pair for pair, kept in zip(ends, live) if kept]
     result = GeometricGraph(ps, pairs)
     check = len(_empty_candidates(tables, result.edges))
     if check != disconnected or check > budget:

@@ -168,10 +168,12 @@ def test_budgeted_generation_fails_when_the_closing_recount_drifts(monkeypatch):
 
 
 def test_budgeted_deletions_match_the_sum_per_draw_reference():
-    for n in range(3, 41):
-        for seed in (1, 2, n * 7919):
-            got = random_instance(n, seed).graph.edges
-            assert got == reference_budgeted_edges(n, seed), (n, seed)
+    cases = [(n, seed) for n in range(3, 41) for seed in (1, 2, n * 7919)]
+    # Larger sets, where each edge carries about ten third vertices.
+    cases += [(64, 1640), (100, 7)]
+    for n, seed in cases:
+        got = random_instance(n, seed).graph.edges
+        assert got == reference_budgeted_edges(n, seed), (n, seed)
 
 
 def test_random_point_set_general_position():
@@ -194,16 +196,36 @@ GOLDEN = [
         "022aef9635856b88cafeb046571ac505dcf9a080f667f0419def6e65be501cac",
         id="budgeted-24-3",
     ),
-    # Seed 1's first instance of each size in the budgeted_large workload.
+    # Every instance of the budgeted_large workload at seed 1.
     pytest.param(
         lambda: random_instance(48, 1480),
         "1ac7b674e0cbaa13f9f2ba01f6c4eb7709d52e0ae788215545bbace122e20d78",
         id="budgeted-48-1480",
     ),
     pytest.param(
+        lambda: random_instance(48, 1481),
+        "c21fc156cfe1d1758602157cc731ee279df27f0a9f953dd61324f8c841af0296",
+        id="budgeted-48-1481",
+    ),
+    pytest.param(
+        lambda: random_instance(48, 1482),
+        "41e1b12fa2ee048d8f3f92d8d094df8b64090f617d0d87861839fc970375b9f4",
+        id="budgeted-48-1482",
+    ),
+    pytest.param(
         lambda: random_instance(64, 1640),
         "6c6af826d83f644200c94ca75a09922a59655fdfade3f5284e08dd3490652d8b",
         id="budgeted-64-1640",
+    ),
+    pytest.param(
+        lambda: random_instance(64, 1641),
+        "e7442d025a95dda5e9da9f80189b06987ede77ee964c19dba9e9eaff197a1b6b",
+        id="budgeted-64-1641",
+    ),
+    pytest.param(
+        lambda: random_instance(64, 1642),
+        "591882fdc2f56bd516bd48572eb078ad5e8a01e22ecbe9cb91226a81a491ce8e",
+        id="budgeted-64-1642",
     ),
     pytest.param(
         lambda: random_instance(10, 5, mode="complete"),

@@ -29,6 +29,34 @@ def test_the_package_root_binds_no_name():
     assert ast.get_docstring(tree) and len(tree.body) == 1
 
 
+ALLOWED_IMPORTS = {
+    "__future__", "argparse", "bisect", "dataclasses", "functools", "itertools",
+    "json", "math", "operator", "os", "random", "sys", "typing",
+}
+
+
+def test_the_package_imports_only_listed_standard_modules():
+    # The package runs on the standard library alone, and each module it
+    # loads adds to the memory of every process that imports it, the
+    # benchmark's measuring process included.  A new import must be
+    # added to this list on purpose.
+    found = []
+    for path in sorted(Path(planetree.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:  # a relative import stays inside the package
+                continue
+            found += [
+                f"{path.name}:{node.lineno} {name}"
+                for name in names
+                if name.split(".")[0] not in ALLOWED_IMPORTS
+            ]
+    assert found == []
+
+
 def _referenced_names(node):
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
