@@ -3,9 +3,11 @@
 The strategy: take the rotating sweep's states lazily, in order, and
 stop at the first line both of whose closed sides satisfy the inductive
 size condition (disconnected empty triangles <= side size - 3).  The
-sweep derives each state's sides from the side laws, and the scan
-recomputes only the winner's from the points, one pass per split; the
-rest of the turn is never computed.
+sweep derives each state's sides from the side laws, one moved point
+per state, and the scan moves each side's witness count with that
+point instead of recounting the side.  Only the winner gets an
+`OrientedLine` and frozenset sides, recomputed from the points, one
+pass per split; the rest of the turn is never computed.
 
 One function, `_build`, is the induction on a closed side of a graph:
 a side of 3 or 4 points is a leaf, which `_leaf_edges` decides in
@@ -36,7 +38,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Collection, Iterable
+from typing import Collection, Iterable, Iterator
 
 from .convex import convex_tree_edges
 from .geometry import hull_order, segments_properly_cross
@@ -51,10 +53,13 @@ from .graphs import (
 )
 from .oracle import BUDGET_EXCEEDED, has_plane_spanning_tree
 from .rotation import (
+    LEFT,
+    RIGHT,
     OrientedLine,
     RotationSequence,
     full_rotation,
-    side_partition,
+    line_labels,
+    sides_from_labels,
     sweep_states,
 )
 from .triangles import Triple, disconnected_empty_triangles
@@ -117,45 +122,76 @@ class BuildReport:
 def find_valid_split(g: GeometricGraph, witnesses: tuple[Triple, ...]) -> SplitLine | None:
     """First sweep state whose closed sides both satisfy the size condition.
 
-    Takes states from `sweep_states` in sweep order and stops at the
+    Takes states from `_side_rooms` in sweep order and stops at the
     first that qualifies, so the result is deterministic for a fixed
-    input and the rest of the turn is never computed.  The sweep derives
-    each state's sides from the state before it, so the winner's sides
-    are recomputed from the points once; a mismatch raises, also under
-    `python -O`.  Returns None when no state qualifies, which the
+    input and the rest of the turn is never computed.  Only the winner
+    becomes an `OrientedLine` with frozenset sides.  The sweep derives
+    each state's sides from the state before it, so the winner's side
+    labels are recomputed from the points once; a mismatch raises, also
+    under `python -O`.  Returns None when no state qualifies, which the
     theorem rules out whenever g itself satisfies the size condition.
     `witnesses` are g's disconnected empty triangles, as the caller
-    counted them.  Each side is a closed half-plane of g, so its count
-    is the number of witnesses it contains.
+    counted them.
     """
     if g.n < 5:
         raise ValueError("splitting needs at least 5 points")
     start: tuple[bool, bool] | None = None
-    for line, part in sweep_states(g.ps):
-        left, right = part.left, part.right
+    for pivot, direction, partner, labels, left, right in _side_rooms(g, witnesses):
         if start is None:
-            start = (_fits(witnesses, left), _fits(witnesses, right))
+            start = (left >= 0, right >= 0)
             if start != (True, True):
                 continue
-        elif not (_fits(witnesses, left) and _fits(witnesses, right)):
+        elif left < 0 or right < 0:
             continue
-        if side_partition(line, g.ps) != part:
+        line = OrientedLine(pivot, direction, partner)
+        if line_labels(line, g.ps) != labels:
             raise AssertionError("derived sides differ from the winning line's")
-        return SplitLine(line, left, right, _classify(g, start, line, witnesses))
+        sides = sides_from_labels(labels)
+        tag = _classify(g, start, line, witnesses)
+        return SplitLine(line, sides.left, sides.right, tag)
     return None
 
 
-def _fits(witnesses: tuple[Triple, ...], side: frozenset[int]) -> bool:
-    """Size condition: at least 3 points and at most len(side) - 3 witnesses."""
-    room = len(side) - 3
-    if room < 0:
-        return False
+def _side_rooms(
+    g: GeometricGraph, witnesses: tuple[Triple, ...]
+) -> Iterator[tuple[int, tuple[int, int], int | None, bytearray, int, int]]:
+    """Each state of g's sweep with the room the size condition leaves
+    on its two closed sides.
+
+    Yields (pivot, direction, partner, labels, left room, right room),
+    the first four as `sweep_states` gives them.  A side's room is its
+    size - 3 minus the witnesses it holds, and the side passes when its
+    room is at least 0.  Each side is a closed half-plane of g, so it
+    holds a witness exactly when it holds its three vertices.  The start
+    state's rooms come from one pass over the witnesses.  Every later
+    state moves one point across one side, which changes only that
+    side's room, by one for the point less the witnesses at the point
+    whose other two vertices lie on the side; a per-vertex incidence
+    list, built once the start is yielded, lists those witnesses.
+    """
+    states = sweep_states(g.ps)
+    pivot, direction, partner, _, _, labels = next(states)
+    # Witnesses by the side label all three vertices share, 0 for none;
+    # rooms by side label.  A closed side misses the other side's points.
+    inside = [0, 0, 0]
     for u, v, w in witnesses:
-        if u in side and v in side and w in side:
-            room -= 1
-            if room < 0:
-                return False  # over the bound; the rest cannot bring it back
-    return True
+        inside[labels[u] & labels[v] & labels[w]] += 1
+    room = [0, 0, 0]
+    room[LEFT] = g.n - labels.count(RIGHT) - 3 - inside[LEFT]
+    room[RIGHT] = g.n - labels.count(LEFT) - 3 - inside[RIGHT]
+    yield pivot, direction, partner, labels, room[LEFT], room[RIGHT]
+    incident: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    for u, v, w in witnesses:
+        incident[u].append((v, w))
+        incident[v].append((u, w))
+        incident[w].append((u, v))
+    for pivot, direction, partner, moved, side, labels in states:
+        gain = 1
+        for a, b in incident[moved]:
+            if labels[a] & labels[b] & side:
+                gain -= 1
+        room[side] += gain if partner is not None else -gain
+        yield pivot, direction, partner, labels, room[LEFT], room[RIGHT]
 
 
 def _classify(

@@ -49,17 +49,16 @@ def convex_tree_edges(g: GeometricGraph, order: tuple[int, ...]) -> frozenset[Ed
     for length in range(1, n):
         for i in range(n - length):
             j = i + length
+            a_i, b_i = a[i], b[i]
             if adjacent[i][j]:
-                b[i][j] = next(
-                    (m for m in range(i, j)
-                     if a[i][m] is not None and a[m + 1][j] is not None),
-                    None,
-                )
-            a[i][j] = next(
-                (k for k in range(i + 1, j + 1)
-                 if b[i][k] is not None and a[k][j] is not None),
-                None,
-            )
+                for m in range(i, j):
+                    if a_i[m] is not None and a[m + 1][j] is not None:
+                        b_i[j] = m
+                        break
+            for k in range(i + 1, j + 1):
+                if b_i[k] is not None and a[k][j] is not None:
+                    a_i[j] = k
+                    break
     if a[0][n - 1] is None:
         return None
     edges = set()

@@ -19,18 +19,22 @@ about its pivot, with one cross product per point: of a point's two
 rays about the pivot, only the one strictly inside the first clockwise
 half turn can come first (see `_next_alignment`).  The same scan
 raises when a third point ties the winning ray, the one place a
-collinear triple shows.  Only the start line's sides are partitioned
-from the points; every later state's sides follow from the state
-before it by the side laws, with set updates and no cross product.
+collinear triple shows.  Only the start line's sides are labelled from
+the points; every later state's sides follow from the state before it
+by the side laws, which move one point's side label and form no cross
+product.
 
-`sweep_states` is the one sweep loop: it yields states lazily, and
-`full_rotation` drains it into a stored turn.  Its checks raise
-`AssertionError` explicitly, so they hold under `python -O` too.
+`sweep_states` is the one sweep loop: it yields states lazily as plain
+values over one shared bytearray of side labels, and `full_rotation`
+folds them into a stored turn of `OrientedLine`s and `SidePartition`s.
+Its checks raise `AssertionError` explicitly, so they hold under
+`python -O` too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Generator, Iterator
 
 from .geometry import PointSet
@@ -95,22 +99,54 @@ class SidePartition:
     right: frozenset[int]
 
 
-def side_partition(line: OrientedLine, ps: PointSet) -> SidePartition:
+# A point's side label: strictly left, strictly right, or on the line
+# and so on both closed sides.  `label & LEFT` tests the closed left side.
+LEFT = 1
+RIGHT = 2
+ON = LEFT | RIGHT
+
+
+def line_labels(line: OrientedLine, ps: PointSet) -> bytearray:
+    """Each point's side label for `line`, from one cross product per point.
+
+    Raises when a point off the line's pivot and partner lies on it,
+    also under `python -O`.
+    """
     v = ps[line.pivot]
     vx, vy = v.x, v.y
     dx, dy = line.direction
     on = line.on_line()
-    left = list(on)
-    right = list(on)
+    labels = bytearray(len(ps))
     for i, p in enumerate(ps.points):
         s = dx * (p.y - vy) - dy * (p.x - vx)
         if s > 0:
-            left.append(i)
+            labels[i] = LEFT
         elif s < 0:
-            right.append(i)
-        elif i not in on:
+            labels[i] = RIGHT
+        elif i in on:
+            labels[i] = ON
+        else:
             raise AssertionError("off-line point aligned with sweep state")
-    return SidePartition(frozenset(left), frozenset(right))
+    return labels
+
+
+# Byte tables that keep one side's bit of every label.
+_LEFT_BIT = bytes(b & LEFT for b in range(256))
+_RIGHT_BIT = bytes(b & RIGHT for b in range(256))
+
+
+def sides_from_labels(labels: bytes | bytearray) -> SidePartition:
+    """The closed sides a label per point describes."""
+    points = range(len(labels))
+    return SidePartition(
+        frozenset(compress(points, labels.translate(_LEFT_BIT))),
+        frozenset(compress(points, labels.translate(_RIGHT_BIT))),
+    )
+
+
+def side_partition(line: OrientedLine, ps: PointSet) -> SidePartition:
+    """The closed sides of `line`, from one cross product per point."""
+    return sides_from_labels(line_labels(line, ps))
 
 
 def initial_halving_line(ps: PointSet) -> OrientedLine:
@@ -225,10 +261,11 @@ class RotationSequence:
             yield self.events[i], self.event_partitions[i]
 
 
-def sweep_states(
-    ps: PointSet,
-) -> Generator[tuple[OrientedLine, SidePartition], None, int]:
-    """The states of one full clockwise turn with their closed sides.
+State = tuple[int, Vec, int | None, int, int, bytearray]
+
+
+def sweep_states(ps: PointSet) -> Generator[State, None, int]:
+    """The states of one full clockwise turn, with their closed sides.
 
     Yields the start line, then alternately the event line met next and
     the intermediate line after it; the state after the last event is
@@ -237,58 +274,68 @@ def sweep_states(
     once (full turn); the start direction is generic, so neither passage
     coincides with an event.
 
-    Only the start line's sides are computed from the points.  Every
-    later state's sides follow from the state before it by the side
-    laws: with v the pivot and w the event's partner, the event line
-    adds w to the side it did not come from, and the next intermediate
-    line drops v from that same side.  The derivation assumes general
-    position, which `_next_alignment` checks at each event.  A consumer
-    that trusts one state's sides should recompute them, as
-    `builder.find_valid_split` does for its winner.  Once drained, the
-    generator runs the closing checks (half turn, pivot closure, wrap
-    equals start, which tests the whole chain of derivations) and
-    returns the half-turn state's index.
+    Each state is the tuple (pivot, direction, partner, moved, side,
+    labels), with the fields of its `OrientedLine`.  `labels` is one
+    bytearray for the whole turn, a side label per point, updated in
+    place before each state is yielded; `sides_from_labels` reads it
+    as a `SidePartition`.  Only the start line's labels are computed
+    from the points, and the start is yielded before any alignment is.
+    Every later state's sides follow from the state before it by the
+    side laws: with v the pivot and w the event's partner, the event
+    line adds w to the side it did not come from, and the next
+    intermediate line drops v from that same side.  So each later state
+    moves one point across one side, and `moved` and `side` name them:
+    an event's partner joins the closed side labelled `side`, and an
+    intermediate line's previous pivot leaves it.  The start has
+    moved = -1 and side = 0.
+
+    The derivation assumes general position, which `_next_alignment`
+    checks at each event.  A consumer that trusts one state's sides
+    should recompute them, as `builder.find_valid_split` does for its
+    winner.  Once drained, the generator runs the closing checks (half
+    turn, pivot closure, wrap labels equal to the start's, which tests
+    the whole chain of derivations) and returns the half-turn state's
+    index.
     """
     n = len(ps)
     start = initial_halving_line(ps)
-    start_part = side_partition(start, ps)
+    pivot = start.pivot
+    labels = line_labels(start, ps)
+    start_labels = bytes(labels)
     d_ref = start.direction
+    yield pivot, d_ref, None, -1, 0, labels
     d_opp = (-d_ref[0], -d_ref[1])
-    line, part, entering = start, start_part, d_ref
-    t_ev, partner = _next_alignment(ps, start.pivot, d_ref)
-    index = 0  # of `line` among the intermediate states
+    t_ev, partner = _next_alignment(ps, pivot, d_ref)
+    index = 0  # of the intermediate state that `pivot` holds
     opposite: int | None = None
     cap = 8 * n**2 + 16
     while True:
+        side = LEFT if labels[partner] == RIGHT else RIGHT
+        labels[partner] = ON
+        yield pivot, t_ev, partner, partner, side, labels
+        t_after, partner_after = _next_alignment(ps, partner, t_ev)
+        labels[pivot] = ON ^ side
+        moved, pivot, entering = pivot, partner, t_ev
+        t_ev, partner = t_after, partner_after
+        index += 1
         if index > cap:
             raise AssertionError("sweep failed to terminate")
-        # `line` spans the clockwise open interval (entering, t_ev), and
-        # cross(entering, t_ev) < 0 as `_strictly_between` requires.
+        # The intermediate state spans the clockwise open interval
+        # (entering, t_ev), and cross(entering, t_ev) < 0 as
+        # `_strictly_between` requires.  The start's interval holds
+        # neither direction, so its tests are skipped.
         if _strictly_between(entering, d_opp, t_ev):
             if opposite is not None:
                 raise AssertionError("half-turn direction passed twice")
             opposite = index
         if _strictly_between(entering, d_ref, t_ev):
             break
-        yield line, part
-        left, right = part.left, part.right
-        if partner in right:
-            event_part = SidePartition(left | {partner}, right)
-            nxt_part = SidePartition(event_part.left - {line.pivot}, right)
-        else:
-            event_part = SidePartition(left, right | {partner})
-            nxt_part = SidePartition(left, event_part.right - {line.pivot})
-        yield OrientedLine(line.pivot, t_ev, partner=partner), event_part
-        t_after, partner_after = _next_alignment(ps, partner, t_ev)
-        nxt = OrientedLine(partner, _add(t_ev, t_after))
-        line, part, entering = nxt, nxt_part, t_ev
-        t_ev, partner = t_after, partner_after
-        index += 1
+        yield pivot, _add(entering, t_ev), None, moved, side, labels
     if opposite is None:
         raise AssertionError("full turn completed before half turn")
-    if line.pivot != start.pivot:
+    if pivot != start.pivot:
         raise AssertionError("sweep did not close on its start pivot")
-    if part != start_part:
+    if labels != start_labels:
         raise AssertionError("wrap state differs from start")
     return opposite
 
@@ -300,12 +347,12 @@ def full_rotation(ps: PointSet) -> RotationSequence:
     parts: list[SidePartition] = []
     while True:
         try:
-            line, part = next(states)
+            pivot, direction, partner, _, _, labels = next(states)
         except StopIteration as done:
             opposite = done.value
             break
-        lines.append(line)
-        parts.append(part)
+        lines.append(OrientedLine(pivot, direction, partner))
+        parts.append(sides_from_labels(labels))
     return RotationSequence(
         intermediates=tuple(lines[0::2]),
         events=tuple(lines[1::2]),

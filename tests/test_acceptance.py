@@ -245,20 +245,27 @@ coords = [(0, 0), (2, 0), (4, 0), (1, 3), (3, -2)]
 object.__setattr__(collinear, "points", tuple(Point(x, y) for x, y in coords))
 print(first_error(lambda: list(rotation.sweep_states(collinear))))
 
-# Swap the sides of sweep state `at` only, where `at` is the root's
-# winner: the start line, an intermediate line and an event line.  The
-# winner's recheck must raise before the build splits on it.
-honest = builder.sweep_states
+# Swap the derived side labels of sweep state `at`, where `at` is the
+# root's winner: the start line, an intermediate line and an event line.
+# The scan ends there, so a state that did not win would fall back
+# without an error.  The winner's recheck must raise before the build
+# splits on it.
+honest = builder._side_rooms
+sides = bytes([rotation.LEFT, rotation.RIGHT])
+swap = bytes.maketrans(sides, sides[::-1])
 
 
 def swapping(at):
-    def sweep_states(ps):
-        for index, (line, part) in enumerate(honest(ps)):
+    def _side_rooms(g, witnesses):
+        for index, state in enumerate(honest(g, witnesses)):
             if index == at:
-                part = rotation.SidePartition(part.right, part.left)
-            yield line, part
+                labels = state[3]
+                labels[:] = labels.translate(swap)
+                yield state
+                return
+            yield state
 
-    return sweep_states
+    return _side_rooms
 
 
 for g, at in (
@@ -266,7 +273,7 @@ for g, at in (
     (random_instance(9, seed=1).graph, 4),
     (r_construction(9)[1].graph, 7),
 ):
-    builder.sweep_states = swapping(at)
+    builder._side_rooms = swapping(at)
     print(first_error(lambda: build_plane_tree(g)))
 """
 

@@ -17,7 +17,7 @@ from _diagnostics import slope_tie_point_sets
 from hypothesis import assume, given, strategies as st
 
 from planetree.geometry import COORD_LIMIT, GeneralPositionError, Point, PointSet
-from planetree.rotation import sweep_states
+from planetree.rotation import full_rotation
 from planetree.triangles import enumerate_empty_triangles
 
 
@@ -59,7 +59,7 @@ def _fraction_empty_triangles(ps: PointSet) -> list[tuple[int, int, int]]:
 
 def _check_against_fractions(ps: PointSet) -> None:
     states = 0
-    for line, part in sweep_states(ps):
+    for line, part in full_rotation(ps).states():
         sides = _sides(ps[line.pivot], line.direction, ps.points)
         assert {i for i, s in enumerate(sides) if s == 0} == set(line.on_line())
         assert part.left == {i for i, s in enumerate(sides) if s >= 0}

@@ -12,12 +12,14 @@ must pick the same state with the same tag.
 """
 
 import random
+from collections import Counter
 
 import pytest
-from _diagnostics import line_crosses_triangle
+from _diagnostics import line_crosses_triangle, slope_tie_point_sets
 from test_sweep_kernel import kernel_point_sets
 
 import planetree.builder as builder
+import planetree.rotation as rotation
 from planetree.builder import (
     CASE1,
     CASE2,
@@ -28,9 +30,22 @@ from planetree.builder import (
     case2_walk,
     find_valid_split,
 )
-from planetree.generators import r_construction, random_instance, random_point_set
+from planetree.generators import (
+    path_complement,
+    r_construction,
+    random_instance,
+    random_point_set,
+)
 from planetree.graphs import GeometricGraph, complete_graph
-from planetree.rotation import EVENT, full_rotation, sweep_states
+from planetree.rotation import (
+    EVENT,
+    INTERMEDIATE,
+    LEFT,
+    OrientedLine,
+    full_rotation,
+    sides_from_labels,
+    sweep_states,
+)
 from planetree.triangles import disconnected_empty_triangles
 
 # Budgeted instances, (n, seed), whose root split is tagged case 2.
@@ -116,20 +131,22 @@ def lazy_split(g, monkeypatch):
     return split, len(taken)
 
 
+def _thinned(ps, density, rng):
+    """ps's complete graph with each edge kept with probability density."""
+    edges = sorted(complete_graph(ps).edges)
+    return GeometricGraph(ps, frozenset(e for e in edges if rng.random() < density))
+
+
 def _graphs():
     rng = random.Random(11)
     for ps in kernel_point_sets():
         if len(ps) < 5:
             continue
         yield complete_graph(ps)
-        edges = sorted(complete_graph(ps).edges)
-        yield GeometricGraph(ps, frozenset(e for e in edges if rng.random() < 0.85))
+        yield _thinned(ps, 0.85, rng)
     for _ in range(120):
-        n = rng.randint(5, 12)
-        ps = random_point_set(n, rng)
-        edges = sorted(complete_graph(ps).edges)
-        density = rng.choice((0.3, 0.6, 0.85, 0.95))
-        yield GeometricGraph(ps, frozenset(e for e in edges if rng.random() < density))
+        ps = random_point_set(rng.randint(5, 12), rng)
+        yield _thinned(ps, rng.choice((0.3, 0.6, 0.85, 0.95)), rng)
     for n in range(5, 40, 2):
         yield random_instance(n, seed=rng.randrange(2**30)).graph
     for n in range(5, 30, 3):
@@ -142,12 +159,26 @@ def test_draining_the_generator_gives_the_full_rotation_states():
     for ps in kernel_point_sets():
         seq = full_rotation(ps)
         states = sweep_states(ps)
-        drained = []
+        drained, moves = [], []
         with pytest.raises(StopIteration) as done:
             while True:
-                drained.append(next(states))
+                pivot, direction, partner, moved, side, labels = next(states)
+                line = OrientedLine(pivot, direction, partner)
+                drained.append((line, sides_from_labels(labels)))
+                moves.append((moved, side))
         assert drained == list(seq.states())
         assert done.value.value == seq.opposite_index
+        # Each later state moves one point across one closed side: an
+        # event's partner joins it, an intermediate's old pivot leaves it.
+        assert moves[0] == (-1, 0)
+        for k in range(1, len(drained)):
+            (prev, before), (line, part), (moved, side) = drained[k - 1], drained[k], moves[k]
+            joins = line.partner is not None
+            assert moved == (line.partner if joins else prev.pivot)
+            pairs = [(before.left, part.left), (before.right, part.right)]
+            (was, now), (other_was, other_now) = pairs if side == LEFT else pairs[::-1]
+            assert other_now == other_was
+            assert now == (was | {moved} if joins else was - {moved}) != was
 
 
 def test_lazy_scan_picks_the_reference_winner(monkeypatch):
@@ -182,3 +213,79 @@ def test_case2_walk_matches_the_sign_based_walk():
         if walk is not None:
             found.add(walk[0])
     assert found == {CASE2_1, CASE2_2}
+
+
+def _room_graphs():
+    rng = random.Random(17)
+    for n in range(5, 21):
+        yield path_complement(n).graph
+    for n in range(5, 30, 4):
+        yield from (inst.graph for inst in r_construction(n))
+    for n in range(5, 40, 3):
+        yield random_instance(n, seed=rng.randrange(2**30)).graph
+    violating = 0
+    while violating < 40:  # random graphs over the size condition
+        ps = random_point_set(rng.randint(6, 16), rng)
+        g = _thinned(ps, rng.choice((0.2, 0.4, 0.6)), rng)
+        if disconnected_empty_triangles(g).count > g.n - 3:
+            violating += 1
+            yield g
+    for sy in (1, -1):
+        for ps in slope_tie_point_sets(sy)[:3]:
+            yield _thinned(ps, 0.7, rng)
+
+
+def test_side_rooms_match_the_containment_count_at_every_state():
+    # The scan counts each side's witnesses once, at the start line, and
+    # then moves them with the one point each state moves; the reference
+    # recounts every state's sides over every witness.
+    recounted = 0  # state changes that move a witness in or out of a side
+    for g in _room_graphs():
+        witnesses = disconnected_empty_triangles(g).witnesses
+        rooms = [(left, right) for *_, left, right in builder._side_rooms(g, witnesses)]
+        expected, inside = [], []
+        for _, part in full_rotation(g.ps).states():
+            sides = (part.left, part.right)
+            inside.append(tuple(sum(set(t) <= side for t in witnesses) for side in sides))
+            expected.append(tuple(len(s) - 3 - k for s, k in zip(sides, inside[-1])))
+            assert [r >= 0 for r in expected[-1]] == [_low(witnesses, s) for s in sides]
+        assert rooms == expected
+        recounted += sum(a != b for a, b in zip(inside, inside[1:]))
+    assert recounted > 4000
+
+
+def _alignments(monkeypatch):
+    calls = []
+    honest = rotation._next_alignment
+
+    def counted(*args):
+        calls.append(args)
+        return honest(*args)
+
+    monkeypatch.setattr(rotation, "_next_alignment", counted)
+    return calls
+
+
+def test_the_scan_aligns_only_for_the_states_it_takes(monkeypatch):
+    # The start is yielded before any alignment; each later state costs
+    # the one alignment that ends its interval, and a failing scan adds
+    # the one that closes the turn.  A case-2 tag runs one full turn more.
+    graphs = [*_graphs(), *(path_complement(n).graph for n in range(5, 21))]
+    turns = [len(full_rotation(g.ps).events) + 1 for g in graphs]
+    calls = _alignments(monkeypatch)
+    winners = Counter()
+    for g, turn in zip(graphs, turns):
+        calls.clear()
+        split, taken = lazy_split(g, monkeypatch)
+        if split is None:
+            assert len(calls) == turn
+            winners["none"] += 1
+            continue
+        extra = turn if split.case_tag.startswith(CASE2) else 0
+        assert len(calls) == (0 if taken == 1 else (taken - 1) // 2 + 1) + extra
+        winners["start" if taken == 1 else split.line.kind] += 1
+    assert min(winners[kind] for kind in ("none", "start", INTERMEDIATE, EVENT)) > 5
+    g = path_complement(14).graph
+    calls.clear()
+    assert find_valid_split(g, disconnected_empty_triangles(g).witnesses) is None
+    assert len(calls) == 29

@@ -370,6 +370,38 @@ def test_sweep_self_checks_raise_under_python_O():
     assert optimised[1:] == plain[1:]
 
 
+WRAP_CHECK_UNDER_O = """
+import random
+from planetree.generators import random_point_set
+from planetree.rotation import ON, full_rotation, sweep_states
+
+ps = random_point_set(9, random.Random(5))
+last = 2 * len(full_rotation(ps).intermediates) - 1
+try:
+    for index, state in enumerate(sweep_states(ps)):
+        if index == last:  # no point is met again before the wrap
+            labels = state[-1]
+            k = next(i for i, s in enumerate(labels) if s != ON)
+            labels[k] ^= ON  # strictly left <-> strictly right
+    print("no error")
+except AssertionError as err:
+    print(err)
+"""
+
+
+def test_a_corrupted_side_label_trips_the_wrap_check_under_python_O():
+    # The sweep moves one label per state; the closing check compares the
+    # wrap labels with the start's, which catches a label written wrongly
+    # late in the turn, also by a consumer of the shared labels.
+    env = {**os.environ, "PYTHONPATH": str(Path(planetree.__file__).parents[1])}
+    for flags in ((), ("-O",)):
+        out = subprocess.run(
+            [sys.executable, *flags, "-c", WRAP_CHECK_UNDER_O],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout.splitlines()
+        assert out == ["wrap state differs from start"]
+
+
 # Five points with one collinear triple: the start pivot 4 = (3, -1),
 # point 0 = (4, -1), and a third point on their line, beyond point 0
 # (near) or beyond the pivot (far).  A PointSet rejects both, so

@@ -314,6 +314,20 @@ def test_one_crossing_sweep_serves_certification_and_the_oracle():
     assert "segments_properly_cross" not in names
 
 
+def test_only_the_sweep_loop_aligns():
+    # `rotation.sweep_states` is the one sweep loop: it alone applies the
+    # side laws, so it alone asks for the next alignment.  A scan that
+    # wants fewer states stops taking them instead of sweeping itself.
+    def aligns(call):
+        func = call.func
+        return getattr(func, "id", getattr(func, "attr", None)) == "_next_alignment"
+
+    callers = []
+    for path in sorted(Path(planetree.__file__).parent.glob("*.py")):
+        callers += _callers(path, aligns)
+    assert callers and set(callers) == {"rotation.sweep_states"}
+
+
 def _tables_reads(tree):
     """Lines where the result of `_below_tables` is used other than by
     binding it to plain names or passing it whole to a call."""
