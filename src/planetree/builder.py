@@ -290,7 +290,7 @@ def merge_side_trees(
         for i, j in edges:
             if i not in side or j not in side:
                 raise ValueError(f"edge ({i}, {j}) leaves its side of the split")
-            union.add(canonical_edge(i, j))
+            union.add((i, j) if i < j else canonical_edge(i, j))
     n = len(split.left_indices | split.right_indices)  # the sides cover every point
     if len(union) >= n:
         union = traversal_tree(n, union)

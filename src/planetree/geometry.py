@@ -3,8 +3,9 @@
 Every geometric decision in this package reduces to the sign of an
 integer cross product or to an exact integer direction key.  Floats
 appear in one place only: a slope key that pre-orders the angular sort
-in `triangles`, where every order decision is then confirmed by an exact
-integer cross sign (see `COORD_LIMIT`).  Coordinates are bounded
+in `triangles`, whose order can be wrong only inside a run of equal
+keys, and every such run is ordered by an exact integer cross sign
+(see `COORD_LIMIT`).  Coordinates are bounded
 once, at PointSet construction; after that every predicate is exact by
 construction.  General position is checked in O(n^2): each point must
 see every earlier point in a distinct, nonzero direction, compared as
@@ -215,9 +216,9 @@ class PointSet:
         checked instead: in range (no negative alias) and distinct.
         """
         n = len(self.points)
-        for i in indices:
-            if not (0 <= i < n):
-                raise ValueError(f"index {i} out of range for {n} points")
+        if indices and not (0 <= min(indices) and max(indices) < n):
+            bad = next(i for i in indices if not 0 <= i < n)
+            raise ValueError(f"index {bad} out of range for {n} points")
         if len(set(indices)) != len(indices):
             raise ValueError("subset indices must be distinct")
         sub = object.__new__(PointSet)
@@ -242,7 +243,8 @@ def hull_order(ps: PointSet) -> tuple[int, ...]:
     collinear triple.  With at most two points, every point is a vertex.
     """
     pts = ps.points
-    order = sorted(range(len(pts)), key=pts.__getitem__)
+    keys = [(p.x, p.y) for p in pts]  # int tuples compare in C
+    order = sorted(range(len(pts)), key=keys.__getitem__)
     if len(order) <= 2:
         return tuple(order)
 

@@ -2,13 +2,15 @@
 
 Edges are canonical (min, max) index pairs.  Induced subgraphs remember
 how their local indices map back to the parent so recursively built
-trees can be lifted into the original graph.
+trees can be lifted into the original graph.  A graph's point count `n`
+is a plain field, set once by each constructor, so reading it costs no
+call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Iterable, Iterator, Sequence
 
 from .geometry import PointSet
@@ -29,12 +31,15 @@ class GeometricGraph:
     must be a pair of distinct in-range ints (not bools), and a
     ValueError names the first bad one; a string, a mapping or anything
     that does not unpack into two values is no pair.  The edges are
-    stored as a frozenset of canonical pairs."""
+    stored as a frozenset of canonical pairs.  `n`, the number of
+    points, is set here and by `induced_subgraph`; it takes no part in
+    `==`, `hash` or `repr`."""
 
     ps: PointSet
     edges: frozenset[Edge]
     parent: "GeometricGraph | None" = field(default=None, repr=False, compare=False)
     parent_map: tuple[int, ...] | None = field(default=None, repr=False, compare=False)
+    n: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.ps)
@@ -55,17 +60,15 @@ class GeometricGraph:
                 raise ValueError(f"edge ({i}, {j}) out of range for {n} points")
             canon.add((i, j) if i < j else (j, i))
         object.__setattr__(self, "edges", frozenset(canon))
-
-    @property
-    def n(self) -> int:
-        return len(self.ps)
+        object.__setattr__(self, "n", n)
 
     def to_parent(self, edges: Iterable[Edge]) -> set[Edge]:
         """Map local edges to the parent graph's index space."""
         if self.parent_map is None:
             raise ValueError("graph has no parent mapping")
         m = self.parent_map
-        return {canonical_edge(m[i], m[j]) for i, j in edges}
+        # parent_map is increasing, so m[i] < m[j] exactly when i < j.
+        return {(m[i], m[j]) if i < j else canonical_edge(m[i], m[j]) for i, j in edges}
 
 
 def complete_graph(ps: PointSet) -> GeometricGraph:
@@ -77,21 +80,23 @@ def induced_subgraph(g: GeometricGraph, subset: Iterable[int]) -> GeometricGraph
 
     Local index k corresponds to parent index parent_map[k]; the subset
     is sorted, so the mapping is deterministic.  The edges are read from
-    the subset's own pairs, not from a scan of g's edges.  Like
-    `PointSet.subset`, the result is not validated again: the pairs are
-    canonical and in range because the order is increasing.
+    the subset's own pairs, not from a scan of g's edges, by a C-level
+    pass over both pair lists at once.  Like `PointSet.subset`, the
+    result is not validated again: the pairs are canonical and in range
+    because the order is increasing.
     """
     order = sorted(set(subset))
     if not order:
         raise ValueError("subset must contain at least one index")
+    k = len(order)
     sub_ps = g.ps.subset(order)
     sub_edges = frozenset(
-        (a, b) for a, b in combinations(range(len(order)), 2)
-        if (order[a], order[b]) in g.edges
+        compress(combinations(range(k), 2), map(g.edges.__contains__, combinations(order, 2)))
     )
     sub = object.__new__(GeometricGraph)
     for name, value in (
-        ("ps", sub_ps), ("edges", sub_edges), ("parent", g), ("parent_map", tuple(order))
+        ("ps", sub_ps), ("edges", sub_edges), ("parent", g), ("parent_map", tuple(order)),
+        ("n", k),
     ):
         object.__setattr__(sub, name, value)
     return sub
@@ -130,7 +135,7 @@ def crossing_pairs(ps: PointSet, edges: Sequence[Edge]) -> Iterator[tuple[int, i
     segments = []
     for k, (i, j) in enumerate(edges):
         p, q = points[i], points[j]
-        if q < p:
+        if (q.x, q.y) < (p.x, p.y):  # int tuples: no dataclass comparison
             p, q = q, p
         segments.append((p.x, q.x, p.y, q.y, k))
     segments.sort()
@@ -155,10 +160,12 @@ def traversal_tree(n: int, edges: Iterable[Edge]) -> set[Edge]:
 
     It has n-1 edges exactly when the edges connect all n vertices.
     Edges and neighbours are visited in sorted order, so the tree is a
-    deterministic function of the edge set.
+    deterministic function of the edge set: the canonical pairs are
+    sorted once, which leaves every adjacency list ascending, and the
+    stack takes each list reversed so its least neighbour is popped first.
     """
     adj: dict[int, list[int]] = {i: [] for i in range(n)}
-    for i, j in sorted(edges):
+    for i, j in sorted((i, j) if i < j else (j, i) for i, j in edges):
         adj[i].append(j)
         adj[j].append(i)
     seen = {0}
@@ -166,7 +173,7 @@ def traversal_tree(n: int, edges: Iterable[Edge]) -> set[Edge]:
     stack = [0]
     while stack:
         cur = stack.pop()
-        for nxt in sorted(adj[cur], reverse=True):
+        for nxt in reversed(adj[cur]):
             if nxt not in seen:
                 seen.add(nxt)
                 out.add(canonical_edge(cur, nxt))

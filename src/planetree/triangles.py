@@ -14,12 +14,15 @@ visibility walk over it emits each of its triangles once.  Emptiness
 of a given triple is tested in O(1) from per-pair counts of the points
 below each segment (Eppstein, Overmars, Rote and Woeginger, "Finding
 minimum area k-gons", DCG 1992).  Both read one set of tables, filled
-up front in O(n^2 log n).  Each order is sorted by float slope and
-then made exact: runs of equal floats are put in order by the integer
-cross sign (the rounding argument is at `geometry.COORD_LIMIT`).  The
-disconnected count draws only the triples that induce at most one
-edge, tests each as it is drawn, and keeps and sorts only the empty
-ones.
+up front in O(n^2 log n) comparisons, plus O(n^3 / w) word operations
+for the popcounts on w-bit words.  Each order is sorted by float slope
+and then made exact: a row whose float slopes repeat gets one
+insertion pass that puts its runs of equal floats in order by the
+integer cross sign (the rounding argument is at `geometry.COORD_LIMIT`);
+a row with no repeat skips it.  Each below count is a popcount over an
+int bitmask of the angular places already passed.  The disconnected
+count draws only the triples that induce at most one edge, tests each
+as it is drawn, and keeps and sorts only the empty ones.
 On a half-plane subset it can instead filter the parent's witnesses,
 which needs no emptiness test at all.  Each call builds the
 counts it reads and passes them down.  One result is memoised: the
@@ -31,7 +34,6 @@ scan of every triple against every point as independent references.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -176,51 +178,72 @@ def _below_tables(ps: PointSet) -> Tables:
     ranked after a lies in the half-plane dx > 0, or dx == 0 and dy > 0,
     about a, so increasing slope dy / dx (inf for the one point with
     dx == 0) orders them by angle, clockwise first.  They are sorted by
-    float slope, then runs of equal floats by the exact cross sign, the
-    only places the float order can be wrong; pos[a][c] is c's place in
-    that order.  Then b lies right of a -> c iff pos[a][b] < pos[a][c],
-    and below[a][b] counts the c between a and b with pos[a][c] <
-    pos[a][b], filled by bisect insertion in rank order.  Entries at or
-    before the diagonal are 0.  The (x, y) order is a symbolic shear of
-    the x order that keeps every orientation.
+    float slope; only a run of equal floats can be out of order, so a
+    row whose floats repeat gets an insertion pass by the exact cross
+    sign, and a row with none skips it.  pos[a][c] is c's place in that
+    order.  Then b lies right of a -> c iff pos[a][b] < pos[a][c], and
+    below[a][b] counts the c between a and b with pos[a][c] <
+    pos[a][b]: in rank order, the popcount of the places passed so far,
+    kept as the bits of one int, below b's place.  Entries at or before
+    the diagonal are 0.  The (x, y) order is a symbolic shear of the x
+    order that keeps every orientation.
     """
     n = len(ps)
-    order = sorted(range(n), key=ps.__getitem__)
-    xs = [ps[i].x for i in order]
-    ys = [ps[i].y for i in order]
+    keys = [(p.x, p.y) for p in ps.points]  # int tuples compare in C
+    order = sorted(range(n), key=keys.__getitem__)
+    xs = [keys[i][0] for i in order]
+    ys = [keys[i][1] for i in order]
+    bit = [1 << r for r in range(n)]
+    low = [b - 1 for b in bit]  # the places before r
     inf = float("inf")
     pos: list[list[int]] = []
     below: list[list[int]] = []
     for a in range(n):
         px, py = xs[a], ys[a]
-        slope = [0.0] * n
+        # No slope is -inf, so the unread entries up to a add one value
+        # to the set below, and the n - a - 1 slopes repeat exactly when
+        # it has fewer than n - a.
+        slope = [-inf] * n
         for c in range(a + 1, n):
             dx = xs[c] - px
             slope[c] = (ys[c] - py) / dx if dx else inf
         ranked = sorted(range(a + 1, n), key=slope.__getitem__)
-        # Only a run of equal float slopes can be out of order (see
-        # `geometry.COORD_LIMIT`); insertion orders it by the cross sign.
-        for k in range(1, len(ranked)):
-            c = ranked[k]
-            j = k
-            while j and slope[ranked[j - 1]] == slope[c]:
-                prev = ranked[j - 1]
-                if (ys[c] - py) * (xs[prev] - px) >= (xs[c] - px) * (ys[prev] - py):
-                    break
-                ranked[j] = prev
-                j -= 1
-            ranked[j] = c
+        if len(set(slope)) < n - a:
+            _order_runs(ranked, slope, xs, ys, a)
         row = [0] * n
         for place, c in enumerate(ranked):
             row[c] = place
         counts = [0] * n
-        seen: list[int] = []
+        seen = 0
         for b in range(a + 1, n):
-            counts[b] = bisect_left(seen, row[b])
-            insort(seen, row[b])
+            r = row[b]
+            counts[b] = (seen & low[r]).bit_count()
+            seen |= bit[r]
         pos.append(row)
         below.append(counts)
     return order, pos, below
+
+
+def _order_runs(
+    ranked: list[int], slope: list[float], xs: list[int], ys: list[int], a: int
+) -> None:
+    """Put each run of equal float slopes in `ranked`, the ranks after a
+    sorted by slope about a, in exact angular order, in place.
+
+    Only such a run can be out of order (see `geometry.COORD_LIMIT`);
+    one insertion pass orders it by the integer cross sign.
+    """
+    px, py = xs[a], ys[a]
+    for k in range(1, len(ranked)):
+        c = ranked[k]
+        j = k
+        while j and slope[ranked[j - 1]] == slope[c]:
+            prev = ranked[j - 1]
+            if (ys[c] - py) * (xs[prev] - px) >= (xs[c] - px) * (ys[prev] - py):
+                break
+            ranked[j] = prev
+            j -= 1
+        ranked[j] = c
 
 
 @dataclass(frozen=True)

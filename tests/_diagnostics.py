@@ -9,7 +9,9 @@ on points in convex position, and build point sets whose angular sort
 meets float ties.  They keep the O(n^3) scan of every triple by the
 below counts as the reference for the visibility walk, and a budgeted
 deletion loop that sums each drawn edge's cost as the reference for
-the per-edge counter of `generators.random_instance`.
+the per-edge counter of `generators.random_instance`, and a
+depth-first search that sorts each vertex's neighbours as the reference
+for `graphs.traversal_tree`.
 The package itself never calls them.
 """
 
@@ -275,3 +277,24 @@ def reference_budgeted_edges(n: int, seed: int) -> frozenset[Edge]:
         disconnected += delta
         del edges[bisect_left(edges, e)]
     return frozenset(edges)
+
+
+def sorted_neighbour_dfs(n: int, edges: Iterable[Edge]) -> set[Edge]:
+    """The reference for `graphs.traversal_tree`: a depth-first tree from
+    vertex 0 that sorts each vertex's neighbours when it visits them, so
+    it needs no order from the adjacency lists."""
+    adj: dict[int, list[int]] = {i: [] for i in range(n)}
+    for i, j in edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    seen = {0}
+    out: set[Edge] = set()
+    stack = [0]
+    while stack:
+        cur = stack.pop()
+        for nxt in sorted(adj[cur], reverse=True):
+            if nxt not in seen:
+                seen.add(nxt)
+                out.add(canonical_edge(cur, nxt))
+                stack.append(nxt)
+    return out

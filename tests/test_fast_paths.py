@@ -29,6 +29,7 @@ from _diagnostics import (
 )
 from test_triangles import brute_empty_triples
 
+from planetree import triangles
 from planetree.builder import build_plane_tree
 from planetree.generators import (
     convex_position_points,
@@ -293,18 +294,48 @@ def _slope_ties_against_rank_order(ps):
     )
 
 
-def test_below_tables_match_orientation_signs():
+def _rows_with_float_ties(pts):
+    """Ranks a of the (x, y)-sorted pts whose float slopes to the later
+    points repeat: the rows the tables must order by the exact sign."""
+    rows = []
+    for a, p in enumerate(pts):
+        slopes = [(q.y - p.y) / (q.x - p.x) if q.x != p.x else float("inf") for q in pts[a + 1:]]
+        if len(set(slopes)) < len(slopes):
+            rows.append(a)
+    return rows
+
+
+def test_below_tables_match_orientation_signs(monkeypatch):
     """The emptiness tables, checked pair by pair with `orient`, also on
-    point sets at the coordinate limit whose float slopes tie."""
+    point sets at the coordinate limit whose float slopes tie, and on
+    sets of 130 and 200 points, whose place masks span several 64-bit
+    words.  A row takes the exact insertion pass exactly when its float
+    slopes repeat, and both kinds of row occur."""
+    ordered_rows: list[int] = []
+
+    def order_runs(ranked, slope, xs, ys, a):
+        ordered_rows.append(a)
+        return order_runs_impl(ranked, slope, xs, ys, a)
+
+    order_runs_impl = triangles._order_runs
+    monkeypatch.setattr(triangles, "_order_runs", order_runs)
     tie_sets = slope_tie_point_sets(1) + slope_tie_point_sets(-1)
     assert sum(map(_slope_ties_against_rank_order, tie_sets)) > 50
+    rng = random.Random(130)
+    wide_sets = [random_point_set(n, rng) for n in (130, 200)]
     checked = 0
+    rows = {"tie sets": [0, 0], "other sets": [0, 0]}  # [taken, skipped]
     point_sets = [ps for k, ps in enumerate(_differential_point_sets()) if k % 8 == 0]
-    for ps in point_sets + tie_sets:
+    for ps in point_sets + wide_sets + tie_sets:
+        ordered_rows.clear()
         order, pos, below = _below_tables(ps)
         pts = [ps[i] for i in order]
         assert pts == sorted(ps.points)
         n = len(pts)
+        assert ordered_rows == _rows_with_float_ties(pts)
+        tally = rows["tie sets" if ps in tie_sets else "other sets"]
+        tally[0] += len(ordered_rows)
+        tally[1] += n - len(ordered_rows)
         for a in range(n):
             for b in range(a + 1, n):
                 right = [c for c in range(a + 1, b) if orient(pts[a], pts[b], pts[c]) < 0]
@@ -314,6 +345,7 @@ def test_below_tables_match_orientation_signs():
                     assert (pos[a][b] < pos[a][c]) == clockwise_first
         checked += 1
     assert checked > 35
+    assert rows["tie sets"][0] > 0 and rows["other sets"][1] > 0, rows
 
 
 @pytest.mark.parametrize(

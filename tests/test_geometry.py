@@ -175,3 +175,10 @@ def test_subset_equals_a_validated_point_set():
     for indices in ([0, -5], [-1], [5], [2, 7]):
         with pytest.raises(ValueError, match="out of range"):
             ps.subset(indices)
+
+
+def test_subset_names_the_first_index_out_of_range():
+    ps = PointSet.from_coords([(0, 0), (5, 1), (2, 7), (9, 4), (-3, 6)])
+    for indices, first in (([1, 2, -3, 9], -3), ([0, 4, 5, -1], 5), ([3, 8, -7], 8)):
+        with pytest.raises(ValueError, match=rf"^index {first} out of range for 5 points$"):
+            ps.subset(indices)

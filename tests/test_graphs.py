@@ -2,7 +2,7 @@ import random
 from itertools import combinations
 
 import pytest
-from _diagnostics import triple_connected
+from _diagnostics import sorted_neighbour_dfs, triple_connected
 
 from planetree.generators import convex_position_points, random_point_set
 from planetree.geometry import PointSet, segments_properly_cross
@@ -15,6 +15,7 @@ from planetree.graphs import (
     complete_graph,
     find_crossing_pair,
     induced_subgraph,
+    traversal_tree,
 )
 
 
@@ -102,8 +103,51 @@ def test_induced_subgraph_equals_a_validated_graph():
         inside = {(order.index(i), order.index(j)) for i, j in edges if {i, j} <= set(order)}
         fresh = GeometricGraph(ps.subset(order), frozenset(inside))
         assert sub == fresh and hash(sub) == hash(fresh)
+        assert sub.n == fresh.n == len(order)
         assert all(i < j for i, j in sub.edges)
         assert (sub.parent, sub.parent_map) == (g, tuple(order))
+
+
+def test_the_point_count_stays_out_of_equality_hash_and_repr():
+    # `n` is a field set by each constructor; like `parent`, it must not
+    # change what `==`, `hash` or `repr` see, so golden reprs and cache
+    # keys stay as they were.
+    ps = square_plus_center()
+    g = GeometricGraph(ps, frozenset({(0, 1), (1, 4)}))
+    assert g.n == 5
+    assert repr(g) == f"GeometricGraph(ps={ps!r}, edges={g.edges!r})"
+    twin = GeometricGraph(ps, frozenset({(1, 0), (4, 1)}))
+    object.__setattr__(twin, "n", 99)
+    assert twin == g and hash(twin) == hash(g)
+    sub = induced_subgraph(g, range(5))
+    assert (sub.n, sub == g, hash(sub) == hash(g), repr(sub) == repr(g)) == (5, True, True, True)
+
+
+def _random_edge_lists(rng):
+    """Edge lists on up to 12 vertices: sparse ones that leave vertices
+    isolated or the graph disconnected, dense ones full of cycles, each
+    shuffled, with some pairs given as (max, min) and some repeated."""
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        pairs = list(combinations(range(n), 2))
+        edges = [e for e in pairs if rng.random() < rng.choice((0.1, 0.3, 0.7))]
+        edges += rng.sample(edges, len(edges) // 4)
+        edges = [(j, i) if rng.random() < 0.5 else (i, j) for i, j in edges]
+        rng.shuffle(edges)
+        yield n, edges
+
+
+def test_traversal_tree_matches_the_sorted_neighbour_search():
+    rng = random.Random(17)
+    kinds = {"spanning": 0, "disconnected": 0, "isolated vertex": 0, "cycle": 0}
+    for n, edges in _random_edge_lists(rng):
+        tree = traversal_tree(n, edges)
+        assert tree == sorted_neighbour_dfs(n, edges), (n, edges)
+        assert traversal_tree(n, reversed(edges)) == tree
+        kinds["spanning" if len(tree) == n - 1 else "disconnected"] += 1
+        kinds["isolated vertex"] += len({v for e in edges for v in e}) < n
+        kinds["cycle"] += len(set(map(frozenset, edges))) > len(tree)
+    assert min(kinds.values()) > 20, kinds
 
 
 def test_induced_subgraph_invalid_index():
