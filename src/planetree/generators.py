@@ -13,7 +13,7 @@ import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress
 
 from .geometry import (
     COORD_LIMIT,
@@ -92,7 +92,7 @@ def path_complement(n: int, scale: int = DEFAULT_SCALE) -> Instance:
         raise ValueError("need at least 3 points")
     ps = convex_position_points(n, scale)
     path = {(i, i + 1) for i in range(n - 1)}
-    g = GeometricGraph(ps, set(combinations(range(n), 2)) - path)
+    g = GeometricGraph._trusted(ps, frozenset(combinations(range(n), 2)) - path)
     got = disconnected_empty_triangles(g).count
     if got != n - 2:
         raise GenerationError(
@@ -115,25 +115,26 @@ def r_construction(n: int, scale: int = DEFAULT_SCALE) -> tuple[Instance, Instan
         raise ValueError("need n >= 5")
     hull = convex_position_points(n - 1, scale)
     a, b, c = hull[n - 4], hull[n - 3], hull[n - 2]
+    path_edges = frozenset((i, i + 1) for i in range(n - 1))
+    complement_edges = frozenset(combinations(range(n), 2)) - path_edges
     for denom in (4, 8, 16, 32, 64, 128):
         # Pull from the last hull vertex toward the ear centroid.
         w = Point(
             c.x + round((a.x + b.x - 2 * c.x) / (3 * denom)),
             c.y + round((a.y + b.y - 2 * c.y) / (3 * denom)),
         )
-        try:
-            ps = PointSet(hull.points + (w,))
-        except ValueError:
+        # Strictly inside a triangle of bounded hull points, w is within
+        # the bound; seeing the hull points in distinct, nonzero directions,
+        # it joins them in general position.
+        if point_in_triangle(w, a, b, c) != INTERIOR or _direction_clash(w, hull.points):
             continue
-        if point_in_triangle(w, a, b, c) != INTERIOR:
-            continue
-        path_edges = frozenset((i, i + 1) for i in range(n - 1))
+        ps = PointSet._trusted(hull.points + (w,))
         if find_crossing_pair(ps, path_edges) is not None:
             continue
-        complement = GeometricGraph(ps, set(combinations(range(n), 2)) - path_edges)
+        complement = GeometricGraph._trusted(ps, complement_edges)
         if disconnected_empty_triangles(complement).count != n - 3:
             continue
-        return Instance(GeometricGraph(ps, path_edges)), Instance(complement)
+        return Instance(GeometricGraph._trusted(ps, path_edges)), Instance(complement)
     raise GenerationError(f"no certified pulled-vertex construction for n={n}")
 
 
@@ -143,9 +144,14 @@ def random_point_set(n: int, rng: random.Random, box: int = RANDOM_BOX) -> Point
 
     A candidate is kept when it sees the points kept so far in pairwise
     distinct, nonzero directions: O(k) per candidate against k points.
+    That is the general-position check itself, and the box keeps every
+    point within the coordinate bound, so the result is not validated
+    again.
     """
     if n < 1:
         raise ValueError("need at least 1 point")
+    if abs(box) > COORD_LIMIT:
+        raise ValueError(f"box {box} must have |box| <= {COORD_LIMIT}")
     pts: list[Point] = []
     attempts = 0
     while len(pts) < n:
@@ -155,7 +161,7 @@ def random_point_set(n: int, rng: random.Random, box: int = RANDOM_BOX) -> Point
         cand = Point(rng.randint(-box, box), rng.randint(-box, box))
         if not _direction_clash(cand, pts):
             pts.append(cand)
-    return PointSet(tuple(pts))
+    return PointSet._trusted(tuple(pts))
 
 
 def random_instance(n: int, seed: int, mode: str = "budgeted") -> Instance:
@@ -166,21 +172,24 @@ def random_instance(n: int, seed: int, mode: str = "budgeted") -> Instance:
     edge, skipping any deletion that would push the disconnected count
     past n-3; the result always satisfies the count <= n-3.
 
-    Generation costs O(n^2 log n + m + T + P), for m = C(n, 2) pairs, T
-    empty triangles and P = sum over v of C(d_v, 2), d_v being v's
-    number of non-neighbours in the result.  The angular tables take
-    O(n^2 log n), and the visibility walk `triangles._empty_walk` lists
-    the triangles in O(T), filing each triangle's third vertex under
-    each of its edges.  In the deletion loop a draw reads its
-    deletion's cost from a per-edge counter in O(1), and a deletion
-    updates the counters of the other two edges of each of its
-    triangles.  A triangle's induced-edge count is not stored: it is
-    the number of its edges still live.  The closing recount by
-    `_empty_candidates` tests the P pairs of non-neighbours; about a
-    fifth of a budgeted graph's pairs are non-edges, so P is Theta(n^3)
-    and leads at large n.  The graph never loses its last edge, since
-    an edgeless graph would have at least n-2 disconnected empty
-    triangles.
+    Generation costs O(n^2 log n + T + m D + P), for m = C(n, 2) pairs,
+    T empty triangles, D deletions and P = sum over v of C(d_v, 2), d_v
+    being v's number of non-neighbours in the result.  The angular
+    tables take O(n^2 log n), and the visibility walk
+    `triangles._empty_walk` lists the triangles in O(T), filing each
+    triangle's third vertex under each of its edges.  In the deletion
+    loop a draw reads its deletion's cost from a per-edge counter in
+    O(1), and a deletion updates the counters of the other two edges of
+    each of its triangles, O(T) over the loop.  A triangle's
+    induced-edge count is not stored: it is the number of its edges
+    still live.  But each deletion also removes its id from the sorted
+    list of live ids, which shifts Theta(m) entries, so the loop costs
+    O(T + m D).  A budgeted graph loses about a fifth of its pairs (n =
+    48 to 1024), so D is about m / 5 and the loop Theta(n^4): it leads
+    at large n.  The closing recount by `_empty_candidates` tests the P
+    pairs of non-neighbours, so P is Theta(n^3).  The graph never loses
+    its last edge, since an edgeless graph would have at least n-2
+    disconnected empty triangles.
     """
     if n < 3:
         raise ValueError("need at least 3 points")
@@ -234,8 +243,7 @@ def random_instance(n: int, seed: int, mode: str = "budgeted") -> Instance:
         disconnected += delta
         del edges[bisect_left(edges, e)]
 
-    pairs = [pair for pair, kept in zip(ends, live) if kept]
-    result = GeometricGraph(ps, pairs)
+    result = GeometricGraph._trusted(ps, frozenset(compress(ends, live)))
     check = len(_empty_candidates(tables, result.edges))
     if check != disconnected or check > budget:
         raise GenerationError("incremental disconnected count drifted")

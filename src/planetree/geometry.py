@@ -5,8 +5,8 @@ integer cross product or to an exact integer direction key.  Floats
 appear in one place only: a slope key that pre-orders the angular sort
 in `triangles`, whose order can be wrong only inside a run of equal
 keys, and every such run is ordered by an exact integer cross sign
-(see `COORD_LIMIT`).  Coordinates are bounded
-once, at PointSet construction; after that every predicate is exact by
+(see `COORD_LIMIT`).  Coordinates are bounded once, when outside data
+becomes a PointSet; after that every predicate is exact by
 construction.  General position is checked in O(n^2): each point must
 see every earlier point in a distinct, nonzero direction, compared as
 gcd-reduced, sign-normalised integer vectors.
@@ -172,12 +172,14 @@ def _direction_clash(p: Point, others: Sequence[Point]) -> tuple[int, ...]:
 class PointSet:
     """Immutable indexed point set in general position.
 
-    `points`, any iterable of Points, is stored as a tuple.  Validation
-    happens here, once: each entry a Point with int coordinates within
-    the bound (a ValueError names the first bad one by index), and
-    general position in O(n^2) (`in_general_position`), where a
-    GeneralPositionError names the offending points.  `subset` skips it,
-    because a subset of a validated set needs none.  All downstream predicates may then assume
+    `points`, any iterable of Points, is stored as a tuple.  Outside
+    data is validated here, once: each entry a Point with int
+    coordinates within the bound (a ValueError names the first bad one
+    by index), and general position in O(n^2) (`in_general_position`),
+    where a GeneralPositionError names the offending points.  Points the
+    package has already made valid (a subset of a validated set, a
+    sample admitted point by point) are never checked again: they enter
+    through `_trusted`.  All downstream predicates may then assume
     exactness and non-degeneracy.
     """
 
@@ -205,6 +207,17 @@ class PointSet:
             )
 
     @classmethod
+    def _trusted(cls, points: tuple[Point, ...]) -> "PointSet":
+        """The point set of `points`, stored unchecked.
+
+        Only for points the package has already made valid: a tuple of
+        Points with int coordinates within the bound, in general position.
+        """
+        ps = object.__new__(cls)
+        object.__setattr__(ps, "points", points)
+        return ps
+
+    @classmethod
     def from_coords(cls, coords: Iterable[Sequence[int]]) -> "PointSet":
         return cls(tuple(Point(x, y) for x, y in coords))
 
@@ -221,9 +234,7 @@ class PointSet:
             raise ValueError(f"index {bad} out of range for {n} points")
         if len(set(indices)) != len(indices):
             raise ValueError("subset indices must be distinct")
-        sub = object.__new__(PointSet)
-        object.__setattr__(sub, "points", tuple(self.points[i] for i in indices))
-        return sub
+        return PointSet._trusted(tuple(self.points[i] for i in indices))
 
     def __len__(self) -> int:
         return len(self.points)

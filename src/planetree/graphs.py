@@ -27,13 +27,16 @@ def canonical_edge(i: int, j: int) -> Edge:
 @dataclass(frozen=True)
 class GeometricGraph:
     """Straight-line edges over a PointSet.  `edges` may be any iterable of
-    index pairs.  This is the one place edges are validated: each entry
-    must be a pair of distinct in-range ints (not bools), and a
-    ValueError names the first bad one; a string, a mapping or anything
-    that does not unpack into two values is no pair.  The edges are
-    stored as a frozenset of canonical pairs.  `n`, the number of
-    points, is set here and by `induced_subgraph`; it takes no part in
-    `==`, `hash` or `repr`."""
+    index pairs.  This is the one place outside edges are validated,
+    once: each entry must be a pair of distinct in-range ints (not
+    bools), and a ValueError names the first bad one; a string, a
+    mapping or anything that does not unpack into two values is no pair.
+    The edges are stored as a frozenset of canonical pairs.  Edges the
+    package derives or generates (an induced subgraph's, a generator's
+    pairs from `combinations`) are canonical and in range by
+    construction and are never checked again: they enter through
+    `_trusted`.  `n`, the number of points, is set by both constructors;
+    it takes no part in `==`, `hash` or `repr`."""
 
     ps: PointSet
     edges: frozenset[Edge]
@@ -62,6 +65,27 @@ class GeometricGraph:
         object.__setattr__(self, "edges", frozenset(canon))
         object.__setattr__(self, "n", n)
 
+    @classmethod
+    def _trusted(
+        cls,
+        ps: PointSet,
+        edges: frozenset[Edge],
+        parent: "GeometricGraph | None" = None,
+        parent_map: tuple[int, ...] | None = None,
+    ) -> "GeometricGraph":
+        """The graph of `edges` over ps, stored unchecked.
+
+        Only for edges the package has already made valid: a frozenset
+        of canonical pairs, each in range for ps.
+        """
+        g = object.__new__(cls)
+        # The frozen dataclass refuses attribute assignment; its instance
+        # dict takes every field in one call.
+        g.__dict__.update(
+            ps=ps, edges=edges, parent=parent, parent_map=parent_map, n=len(ps.points)
+        )
+        return g
+
     def to_parent(self, edges: Iterable[Edge]) -> set[Edge]:
         """Map local edges to the parent graph's index space."""
         if self.parent_map is None:
@@ -72,7 +96,7 @@ class GeometricGraph:
 
 
 def complete_graph(ps: PointSet) -> GeometricGraph:
-    return GeometricGraph(ps, combinations(range(len(ps)), 2))
+    return GeometricGraph._trusted(ps, frozenset(combinations(range(len(ps)), 2)))
 
 
 def induced_subgraph(g: GeometricGraph, subset: Iterable[int]) -> GeometricGraph:
@@ -93,13 +117,7 @@ def induced_subgraph(g: GeometricGraph, subset: Iterable[int]) -> GeometricGraph
     sub_edges = frozenset(
         compress(combinations(range(k), 2), map(g.edges.__contains__, combinations(order, 2)))
     )
-    sub = object.__new__(GeometricGraph)
-    for name, value in (
-        ("ps", sub_ps), ("edges", sub_edges), ("parent", g), ("parent_map", tuple(order)),
-        ("n", k),
-    ):
-        object.__setattr__(sub, name, value)
-    return sub
+    return GeometricGraph._trusted(sub_ps, sub_edges, g, tuple(order))
 
 
 def find_crossing_pair(

@@ -17,12 +17,13 @@ from planetree.generators import (
 from planetree.geometry import (
     COORD_LIMIT,
     INTERIOR,
+    PointSet,
     hull_order,
     in_general_position,
     orient,
     point_in_triangle,
 )
-from planetree.graphs import find_crossing_pair
+from planetree.graphs import GeometricGraph, find_crossing_pair
 from planetree.instance_io import dumps_instance
 from planetree.oracle import ABSENT, has_plane_spanning_tree
 from planetree.triangles import disconnected_empty_triangles
@@ -177,10 +178,34 @@ def test_budgeted_deletions_match_the_sum_per_draw_reference():
 
 
 def test_random_point_set_general_position():
+    # The generators build their records unchecked; each must equal the
+    # record that validation builds from the same points and edges.
     rng = random.Random(2)
     for _ in range(10):
         ps = random_point_set(rng.randint(3, 20), rng)
         assert in_general_position(ps.points)
+        assert PointSet(ps.points) == ps and hash(PointSet(ps.points)) == hash(ps)
+    graphs = [
+        random_instance(n, seed, mode).graph
+        for mode in ("complete", "budgeted")
+        for n, seed in [(3, 0), (4, 1), (9, 0), (9, 5), (17, 2), (30, 4)]
+    ]
+    graphs += [path_complement(n).graph for n in (3, 6, 13)]
+    graphs += [g.graph for n in (5, 8, 13) for g in r_construction(n)]
+    for g in graphs:
+        ps = PointSet(g.ps.points)
+        fresh = GeometricGraph(ps, g.edges)
+        assert ps == g.ps and hash(ps) == hash(g.ps)
+        assert fresh == g and hash(fresh) == hash(g)
+        assert fresh.n == g.n == len(ps)
+
+
+@pytest.mark.parametrize("box", [COORD_LIMIT + 1, -COORD_LIMIT - 1])
+def test_a_box_outside_the_coordinate_bound_is_refused(box):
+    with pytest.raises(ValueError, match=f"<= {COORD_LIMIT}$"):
+        random_point_set(3, random.Random(0), box)
+    ps = random_point_set(3, random.Random(0), box=COORD_LIMIT)
+    assert PointSet(ps.points) == ps
 
 
 # sha256 of dumps_instance output.  The benchmark's workloads are built by

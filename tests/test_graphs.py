@@ -106,6 +106,12 @@ def test_induced_subgraph_equals_a_validated_graph():
         assert sub.n == fresh.n == len(order)
         assert all(i < j for i, j in sub.edges)
         assert (sub.parent, sub.parent_map) == (g, tuple(order))
+    # complete_graph skips it too.
+    for ps in (ps, ps.subset([3]), convex_position_points(7)):
+        full = complete_graph(ps)
+        fresh = GeometricGraph(ps, combinations(range(len(ps)), 2))
+        assert full == fresh and hash(full) == hash(fresh)
+        assert full.n == fresh.n == len(ps)
 
 
 def test_the_point_count_stays_out_of_equality_hash_and_repr():

@@ -1,10 +1,15 @@
 import ast
+import traceback
 from collections import Counter
 from pathlib import Path
 
 import planetree
 import planetree.builder
 import planetree.oracle
+from planetree import geometry
+from planetree.generators import path_complement, r_construction, random_instance
+from planetree.graphs import GeometricGraph
+from planetree.instance_io import dumps_instance, loads_instance
 
 
 def test_no_bare_assert_in_the_package():
@@ -229,13 +234,28 @@ def test_only_the_api_boundary_certifies():
     assert callers == {"builder.build_plane_tree", "cli.cmd_check", "cli.cmd_oracle"}
 
 
+def _definitions(tree):
+    """(name, node) for each top-level statement, with each method of a
+    top-level class split out as `Class.method`."""
+    for top in tree.body:
+        name = getattr(top, "name", "<module>")
+        if not isinstance(top, ast.ClassDef):
+            yield name, top
+            continue
+        for node in top.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield f"{name}.{node.name}", node
+            else:
+                yield name, node
+
+
 def _callers(path, matches):
-    """Names of the top-level definitions in path holding a call that
-    `matches`, one entry per call."""
+    """Names of the definitions in path (top-level, or methods of a
+    top-level class) holding a call that `matches`, one entry per call."""
     tree = ast.parse(path.read_text(), filename=str(path))
     return [
-        f"{path.stem}.{getattr(top, 'name', '<module>')}"
-        for top in tree.body
+        f"{path.stem}.{name}"
+        for name, top in _definitions(tree)
         for node in ast.walk(top)
         if isinstance(node, ast.Call) and matches(node)
     ]
@@ -372,3 +392,68 @@ def test_only_the_triangles_module_reads_the_emptiness_tables():
     assert found == []
     generators = Path(planetree.__file__).parent / "generators.py"
     assert "_below_tables" in generators.read_text()  # the rule has something to hold
+
+
+TRUSTING = {
+    "geometry.PointSet.subset",
+    "graphs.induced_subgraph",
+    "graphs.complete_graph",
+    "generators.random_point_set",
+    "generators.random_instance",
+    "generators.path_complement",
+    "generators.r_construction",
+}
+
+
+def test_only_derived_and_generated_records_skip_validation():
+    # A record is validated once, where outside data enters (`PointSet`,
+    # `GeometricGraph`, `loads_instance`, the CLI).  Only functions whose
+    # points or edges are valid by construction may call a `_trusted`
+    # constructor, and only those constructors may bypass `__init__`.
+    def trusted(call):
+        return getattr(call.func, "attr", None) == "_trusted"
+
+    def bypass(call):
+        func = call.func
+        return getattr(func, "attr", None) == "__new__" and _root_name(func) == "object"
+
+    callers, bypasses = [], []
+    for path in sorted(Path(planetree.__file__).parent.glob("*.py")):
+        callers += _callers(path, trusted)
+        bypasses += _callers(path, bypass)
+    assert set(callers) == TRUSTING  # so no `instance_io` or `cli` function
+    assert sorted(bypasses) == ["geometry.PointSet._trusted", "graphs.GeometricGraph._trusted"]
+
+
+def test_generation_validates_only_the_rounded_polygon(monkeypatch):
+    # During generation, general position is checked only where rounding
+    # may collide (`convex_position_points`, once per radius tried), and
+    # no edge set is validated at all.  A loaded instance is still checked
+    # in full, once.
+    degeneracy, post_init = [], []
+    check_points = geometry._degeneracy
+    check_edges = GeometricGraph.__post_init__
+
+    def counted_degeneracy(pts):
+        frames = traceback.extract_stack()
+        degeneracy.append(any(f.name == "convex_position_points" for f in frames))
+        return check_points(pts)
+
+    def counted_post_init(self):
+        post_init.append(1)
+        check_edges(self)
+
+    monkeypatch.setattr(geometry, "_degeneracy", counted_degeneracy)
+    monkeypatch.setattr(GeometricGraph, "__post_init__", counted_post_init)
+    graphs = [
+        random_instance(9, 1, "complete").graph,
+        random_instance(9, 1).graph,
+        path_complement(9).graph,
+        *(inst.graph for inst in r_construction(9)),
+    ]
+    assert (degeneracy, post_init) == ([True, True], [])  # one radius each
+    for g in graphs:
+        degeneracy.clear()
+        assert loads_instance(dumps_instance(g)) == g
+        assert (degeneracy, post_init) == ([False], [1])
+        post_init.clear()
