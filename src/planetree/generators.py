@@ -139,8 +139,9 @@ def r_construction(n: int, scale: int = DEFAULT_SCALE) -> tuple[Instance, Instan
 
 
 def random_point_set(n: int, rng: random.Random, box: int = RANDOM_BOX) -> PointSet:
-    """n integer points in general position, sampled uniformly in a box
-    with point-wise rejection of degeneracies.
+    """n integer points in general position, sampled uniformly in the box
+    [-box, box]^2, 1 <= box <= COORD_LIMIT, with point-wise rejection of
+    degeneracies.
 
     A candidate is kept when it sees the points kept so far in pairwise
     distinct, nonzero directions: O(k) per candidate against k points.
@@ -150,8 +151,8 @@ def random_point_set(n: int, rng: random.Random, box: int = RANDOM_BOX) -> Point
     """
     if n < 1:
         raise ValueError("need at least 1 point")
-    if abs(box) > COORD_LIMIT:
-        raise ValueError(f"box {box} must have |box| <= {COORD_LIMIT}")
+    if not 1 <= box <= COORD_LIMIT:
+        raise ValueError(f"box {box} must have 1 <= box <= {COORD_LIMIT}")
     pts: list[Point] = []
     attempts = 0
     while len(pts) < n:

@@ -1,15 +1,14 @@
 """Exact integer predicates over planar point sets.
 
 Every geometric decision in this package reduces to the sign of an
-integer cross product or to an exact integer direction key.  Floats
-appear in one place only: a slope key that pre-orders the angular sort
-in `triangles`, whose order can be wrong only inside a run of equal
-keys, and every such run is ordered by an exact integer cross sign
-(see `COORD_LIMIT`).  Coordinates are bounded once, when outside data
-becomes a PointSet; after that every predicate is exact by
-construction.  General position is checked in O(n^2): each point must
-see every earlier point in a distinct, nonzero direction, compared as
-gcd-reduced, sign-normalised integer vectors.
+integer cross product or to an exact integer key: a gcd-reduced
+direction here, or the slope key floor(dy / dx * 2**62) of the angular
+sort in `triangles` (see `COORD_LIMIT`).  No predicate forms a float.
+Coordinates are bounded once, when outside data becomes a PointSet;
+after that every predicate is exact by construction.  General position
+is checked in O(n^2): each point must see every earlier point in a
+distinct, nonzero direction, compared as gcd-reduced, sign-normalised
+integer vectors.
 """
 
 from __future__ import annotations
@@ -28,18 +27,19 @@ from typing import Iterable, Iterator, Sequence
 # intermediate direction with a difference from its pivot is thus a sum
 # of two orientation determinants: within 2**63, which the four box
 # corners reach exactly, one past the signed 64-bit range, so it needs a
-# wider type.  The angular sort in `triangles` compares two differences
-# from one point by an orientation determinant, within 2**62, and the
-# general-position keys are gcd-reduced differences, within 2**31 per
-# component.  Python ints never overflow, but the bound keeps instance
-# files portable.
+# wider type.  The general-position keys are gcd-reduced differences,
+# within 2**31 per component.  Python ints never overflow, but the bound
+# keeps instance files portable.
 #
-# The angular sort keys each difference (dx, dy) by the float dy / dx.
-# Both components are integers within 2**31 < 2**53, so they are exact
-# doubles, and int / int is correctly rounded.  Rounding is monotone, so
-# an exact s1 < s2 gives fl(s1) <= fl(s2): the float order can only be
-# wrong inside a run of equal keys, and an insertion pass by the exact
-# cross sign orders those runs.
+# The angular sort in `triangles` keys each difference (dx, dy), dx > 0,
+# by the integer floor(dy / dx * 2**62) = (dy << 62) // dx.  Two distinct
+# slopes dy1 / dx1 != dy2 / dx2 of differences within 2**31 per component
+# differ by |dy1 dx2 - dy2 dx1| / (dx1 dx2) >= 1 / (dx1 dx2) >= 2**-62,
+# so their scaled values differ by at least 1 and floor(slope * 2**62) is
+# strictly monotone: the key order is the exact angular order.  Every key
+# lies within 2**31 * 2**62 = 2**93, below the vertical key 2**94, so it
+# too needs a wider type than 64 bits.  `in_general_position` accepts
+# points outside the bound; there the slope key is not exact.
 COORD_LIMIT = 2**30
 
 INTERIOR = "interior"

@@ -15,12 +15,12 @@ of a given triple is tested in O(1) from per-pair counts of the points
 below each segment (Eppstein, Overmars, Rote and Woeginger, "Finding
 minimum area k-gons", DCG 1992).  Both read one set of tables, filled
 up front in O(n^2 log n) comparisons, plus O(n^3 / w) word operations
-for the popcounts on w-bit words.  Each order is sorted by float slope
-and then made exact: a row whose float slopes repeat gets one
-insertion pass that puts its runs of equal floats in order by the
-integer cross sign (the rounding argument is at `geometry.COORD_LIMIT`);
-a row with no repeat skips it.  Each below count is a popcount over an
-int bitmask of the angular places already passed.  The disconnected
+for the popcounts on w-bit words.  No step forms a float: each order
+is one sort by the exact integer slope key floor(dy / dx * 2**62),
+strictly monotone because two distinct slopes of differences within
+2**31 differ by at least 2**-62, and within 2**93 (the argument is at
+`geometry.COORD_LIMIT`).  Each below count is a popcount over an int
+bitmask of the angular places already passed.  The disconnected
 count draws only the triples that induce at most one edge, tests each
 as it is drawn, and keeps and sorts only the empty ones.
 On a half-plane subset it can instead filter the parent's witnesses,
@@ -46,6 +46,9 @@ from .graphs import Edge, GeometricGraph
 Triple = tuple[int, int, int]
 # order, pos and below of `_below_tables`.
 Tables = tuple[list[int], list[list[int]], list[list[int]]]
+# The slope key of the one later point straight above a point: above
+# every other key, which lies within 2**93 (see `geometry.COORD_LIMIT`).
+_VERTICAL = 1 << 94
 
 
 def enumerate_empty_triangles(ps: PointSet) -> list[Triple]:
@@ -176,42 +179,36 @@ def _below_tables(ps: PointSet) -> Tables:
 
     order[r] is the index in ps of the point of rank r.  Every point
     ranked after a lies in the half-plane dx > 0, or dx == 0 and dy > 0,
-    about a, so increasing slope dy / dx (inf for the one point with
-    dx == 0) orders them by angle, clockwise first.  They are sorted by
-    float slope; only a run of equal floats can be out of order, so a
-    row whose floats repeat gets an insertion pass by the exact cross
-    sign, and a row with none skips it.  pos[a][c] is c's place in that
-    order.  Then b lies right of a -> c iff pos[a][b] < pos[a][c], and
-    below[a][b] counts the c between a and b with pos[a][c] <
-    pos[a][b]: in rank order, the popcount of the places passed so far,
-    kept as the bits of one int, below b's place.  Entries at or before
-    the diagonal are 0.  The (x, y) order is a symbolic shear of the x
-    order that keeps every orientation.
+    about a, so increasing slope dy / dx orders them by angle, clockwise
+    first.  One sort orders them by the exact integer key
+    (dy << 62) // dx = floor(dy / dx * 2**62), with `_VERTICAL` for the
+    one point with dx == 0; no float is formed.  Two distinct slopes
+    differ by at least 2**-62, so the key is strictly monotone, and it
+    lies within 2**93 (see `geometry.COORD_LIMIT`).  pos[a][c] is c's
+    place in that order.  Then b lies right of a -> c iff pos[a][b] <
+    pos[a][c], and below[a][b] counts the c between a and b with
+    pos[a][c] < pos[a][b]: in rank order, the popcount of the places
+    passed so far, kept as the bits of one int, below b's place.
+    Entries at or before the diagonal are 0.  The (x, y) order is a
+    symbolic shear of the x order that keeps every orientation.
     """
     n = len(ps)
     keys = [(p.x, p.y) for p in ps.points]  # int tuples compare in C
     order = sorted(range(n), key=keys.__getitem__)
     xs = [keys[i][0] for i in order]
-    ys = [keys[i][1] for i in order]
+    high = [keys[i][1] << 62 for i in order]  # so dy << 62 is one subtraction
     bit = [1 << r for r in range(n)]
     low = [b - 1 for b in bit]  # the places before r
-    inf = float("inf")
     pos: list[list[int]] = []
     below: list[list[int]] = []
     for a in range(n):
-        px, py = xs[a], ys[a]
-        # No slope is -inf, so the unread entries up to a add one value
-        # to the set below, and the n - a - 1 slopes repeat exactly when
-        # it has fewer than n - a.
-        slope = [-inf] * n
+        px, py = xs[a], high[a]
+        slope = [0] * n
         for c in range(a + 1, n):
             dx = xs[c] - px
-            slope[c] = (ys[c] - py) / dx if dx else inf
-        ranked = sorted(range(a + 1, n), key=slope.__getitem__)
-        if len(set(slope)) < n - a:
-            _order_runs(ranked, slope, xs, ys, a)
+            slope[c] = (high[c] - py) // dx if dx else _VERTICAL
         row = [0] * n
-        for place, c in enumerate(ranked):
+        for place, c in enumerate(sorted(range(a + 1, n), key=slope.__getitem__)):
             row[c] = place
         counts = [0] * n
         seen = 0
@@ -222,28 +219,6 @@ def _below_tables(ps: PointSet) -> Tables:
         pos.append(row)
         below.append(counts)
     return order, pos, below
-
-
-def _order_runs(
-    ranked: list[int], slope: list[float], xs: list[int], ys: list[int], a: int
-) -> None:
-    """Put each run of equal float slopes in `ranked`, the ranks after a
-    sorted by slope about a, in exact angular order, in place.
-
-    Only such a run can be out of order (see `geometry.COORD_LIMIT`);
-    one insertion pass orders it by the integer cross sign.
-    """
-    px, py = xs[a], ys[a]
-    for k in range(1, len(ranked)):
-        c = ranked[k]
-        j = k
-        while j and slope[ranked[j - 1]] == slope[c]:
-            prev = ranked[j - 1]
-            if (ys[c] - py) * (xs[prev] - px) >= (xs[c] - px) * (ys[prev] - py):
-                break
-            ranked[j] = prev
-            j -= 1
-        ranked[j] = c
 
 
 @dataclass(frozen=True)

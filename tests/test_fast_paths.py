@@ -29,7 +29,6 @@ from _diagnostics import (
 )
 from test_triangles import brute_empty_triples
 
-from planetree import triangles
 from planetree.builder import build_plane_tree
 from planetree.generators import (
     convex_position_points,
@@ -294,58 +293,56 @@ def _slope_ties_against_rank_order(ps):
     )
 
 
-def _rows_with_float_ties(pts):
-    """Ranks a of the (x, y)-sorted pts whose float slopes to the later
-    points repeat: the rows the tables must order by the exact sign."""
-    rows = []
-    for a, p in enumerate(pts):
-        slopes = [(q.y - p.y) / (q.x - p.x) if q.x != p.x else float("inf") for q in pts[a + 1:]]
-        if len(set(slopes)) < len(slopes):
-            rows.append(a)
-    return rows
+def _margin_sets():
+    """One 3-point set per sign s: a = (-2**30, -s 2**30), a + (m, s (m - 1))
+    and a + (m + 1, s m), for m = 2**31 - 1.  The two slopes from a differ
+    by 1 / (m (m + 1)), about 1.0000000005 * 2**-62: the least margin two
+    slopes within the coordinate bound can have, which the slope key of
+    `_below_tables` must still resolve."""
+    m = 2**31 - 1
+    sets = []
+    for s in (1, -1):
+        ax, ay = -COORD_LIMIT, -s * COORD_LIMIT
+        coords = [(ax, ay), (ax + m, ay + s * (m - 1)), (ax + m + 1, ay + s * m)]
+        sets.append(PointSet.from_coords(coords))
+    return sets
 
 
-def test_below_tables_match_orientation_signs(monkeypatch):
-    """The emptiness tables, checked pair by pair with `orient`, also on
-    point sets at the coordinate limit whose float slopes tie, and on
-    sets of 130 and 200 points, whose place masks span several 64-bit
-    words.  A row takes the exact insertion pass exactly when its float
-    slopes repeat, and both kinds of row occur."""
-    ordered_rows: list[int] = []
-
-    def order_runs(ranked, slope, xs, ys, a):
-        ordered_rows.append(a)
-        return order_runs_impl(ranked, slope, xs, ys, a)
-
-    order_runs_impl = triangles._order_runs
-    monkeypatch.setattr(triangles, "_order_runs", order_runs)
+def test_below_tables_match_orientation_signs():
+    """The emptiness tables, checked pair by pair against the integer
+    cross sign computed here from the coordinates, on point sets at the
+    coordinate limit whose float slopes tie, on the two sets whose slopes
+    differ by the least margin the bound allows, and on sets of 130 and
+    200 points, whose place masks span several 64-bit words.  No
+    predicate of the tables forms a float, so a float tie must not
+    matter."""
     tie_sets = slope_tie_point_sets(1) + slope_tie_point_sets(-1)
     assert sum(map(_slope_ties_against_rank_order, tie_sets)) > 50
+    m = 2**31 - 1
+    assert (m - 1) / m == m / (m + 1)  # the margin sets' float slopes tie
     rng = random.Random(130)
     wide_sets = [random_point_set(n, rng) for n in (130, 200)]
     checked = 0
-    rows = {"tie sets": [0, 0], "other sets": [0, 0]}  # [taken, skipped]
     point_sets = [ps for k, ps in enumerate(_differential_point_sets()) if k % 8 == 0]
-    for ps in point_sets + wide_sets + tie_sets:
-        ordered_rows.clear()
+    for ps in point_sets + wide_sets + tie_sets + _margin_sets():
         order, pos, below = _below_tables(ps)
         pts = [ps[i] for i in order]
         assert pts == sorted(ps.points)
         n = len(pts)
-        assert ordered_rows == _rows_with_float_ties(pts)
-        tally = rows["tie sets" if ps in tie_sets else "other sets"]
-        tally[0] += len(ordered_rows)
-        tally[1] += n - len(ordered_rows)
-        for a in range(n):
+        for a, p in enumerate(pts):
+            # c lies left of a -> b iff (b - a) x (c - a) > 0, right iff < 0.
+            dx = [q.x - p.x for q in pts]
+            dy = [q.y - p.y for q in pts]
+            place = pos[a]
             for b in range(a + 1, n):
-                right = [c for c in range(a + 1, b) if orient(pts[a], pts[b], pts[c]) < 0]
-                assert below[a][b] == len(right)
+                ux, uy = dx[b], dy[b]
+                right = sum([ux * dy[c] < uy * dx[c] for c in range(a + 1, b)])
+                assert below[a][b] == right
                 for c in range(b + 1, n):
-                    clockwise_first = orient(pts[a], pts[b], pts[c]) > 0
-                    assert (pos[a][b] < pos[a][c]) == clockwise_first
+                    clockwise_first = ux * dy[c] > uy * dx[c]
+                    assert (place[b] < place[c]) == clockwise_first
         checked += 1
     assert checked > 35
-    assert rows["tie sets"][0] > 0 and rows["other sets"][1] > 0, rows
 
 
 @pytest.mark.parametrize(

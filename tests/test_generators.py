@@ -200,7 +200,7 @@ def test_random_point_set_general_position():
         assert fresh.n == g.n == len(ps)
 
 
-@pytest.mark.parametrize("box", [COORD_LIMIT + 1, -COORD_LIMIT - 1])
+@pytest.mark.parametrize("box", [COORD_LIMIT + 1, -COORD_LIMIT - 1, 0, -5])
 def test_a_box_outside_the_coordinate_bound_is_refused(box):
     with pytest.raises(ValueError, match=f"<= {COORD_LIMIT}$"):
         random_point_set(3, random.Random(0), box)

@@ -348,6 +348,28 @@ def test_only_the_sweep_loop_aligns():
     assert callers and set(callers) == {"rotation.sweep_states"}
 
 
+# The modules whose every decision is exact.  `generators` rounds points
+# on a circle and toward ear centroids to integers, and `svg` scales a
+# picture; both may use floats.
+EXACT_MODULES = ["geometry", "graphs", "triangles", "rotation", "builder", "convex", "oracle"]
+
+
+def test_the_exact_modules_form_no_float():
+    # No predicate rests on rounding: an exact module divides only with
+    # `//`, names no `float` and writes no float literal.
+    found = []
+    for name in EXACT_MODULES:
+        path = Path(planetree.__file__).parent / f"{name}.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (
+                isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+                or isinstance(node, ast.Name) and node.id == "float"
+                or isinstance(node, ast.Constant) and isinstance(node.value, float)
+            ):
+                found.append(f"{name}.py:{node.lineno}")
+    assert found == []
+
+
 def _tables_reads(tree):
     """Lines where the result of `_below_tables` is used other than by
     binding it to plain names or passing it whole to a call."""
