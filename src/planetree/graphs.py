@@ -143,24 +143,36 @@ def crossing_pairs(ps: PointSet, edges: Sequence[Edge]) -> Iterator[tuple[int, i
     """The positions (i, j), i < j, of every properly crossing pair of
     `edges`, each pair once.
 
-    The edges are swept by their left x, and each is tested only against
-    the later ones that start strictly before it ends: two segments whose
-    x-ranges meet in at most one x cannot cross in the interior of both.
-    The worst case is still O(m^2).  The cross products are the integer
-    ones of `segments_properly_cross`, written out.
+    Each segment runs from its lower (y, x) endpoint, and the segments
+    are swept by that lower y.  Each is tested only against the later
+    ones that start strictly below its top, and the scan stops at the
+    first later segment that does not: that one and every one after it
+    lie at or above the top.  This is exact.  A horizontal segment that
+    sorts first cannot be properly crossed by a later one, which lies at
+    or above its line and meets it only in an endpoint or along it.  Any
+    other proper crossing is interior to the first segment, so it lies
+    strictly below that segment's top, and at or above the later one's
+    low y.
+
+    Why y: the builder's first split line is horizontal whenever the y
+    values are distinct (`rotation.initial_halving_line`), and almost
+    every split is won there, so each tree edge stays inside its level's
+    horizontal strip and few pairs overlap in y.  The worst case is
+    still O(m^2).  The cross products are the integer ones of
+    `segments_properly_cross`, written out.
     """
     points = ps.points
     segments = []
     for k, (i, j) in enumerate(edges):
         p, q = points[i], points[j]
-        if (q.x, q.y) < (p.x, p.y):  # int tuples: no dataclass comparison
+        if (q.y, q.x) < (p.y, p.x):  # int tuples: no dataclass comparison
             p, q = q, p
-        segments.append((p.x, q.x, p.y, q.y, k))
+        segments.append((p.y, q.y, p.x, q.x, k))
     segments.sort()
-    for s, (ax, bx, ay, by, e) in enumerate(segments):
+    for s, (ay, by, ax, bx, e) in enumerate(segments):
         ux, uy = bx - ax, by - ay
-        for cx, dx, cy, dy, f in segments[s + 1:]:
-            if cx >= bx:
+        for cy, dy, cx, dx, f in segments[s + 1:]:
+            if cy >= by:
                 break
             o1 = ux * (cy - ay) - uy * (cx - ax)
             o2 = ux * (dy - ay) - uy * (dx - ax)

@@ -368,7 +368,8 @@ def _crossing_cases(rng):
     """Seeded edge sets: random subsets, which mostly cross, with some
     pairs given reversed; greedy plane subsets, whose edges share many
     endpoints and cross nothing; and those with one crossing edge added.
-    Small boxes put many points on one x, so many segments are vertical."""
+    Small boxes put many points on one x or one y, so many segments are
+    vertical or horizontal: the sweep's degenerate cases."""
     for n in range(2, 15):
         for box in (5, 12, 1000, COORD_LIMIT):
             ps = random_point_set(min(n, 12) if box == 5 else n, rng, box=box)
@@ -389,20 +390,41 @@ def _crossing_cases(rng):
 
 def test_the_crossing_sweep_returns_the_all_pairs_witness():
     rng = random.Random(1313)
-    crossing = free = vertical = 0
+    crossing = free = vertical = horizontal = 0
     for ps, edges in _crossing_cases(rng):
         expected = all_pairs_crossing_pair(ps, edges)
         assert find_crossing_pair(ps, edges) == expected
         crossing += expected is not None
         free += expected is None
         vertical += any(ps[i].x == ps[j].x for i, j in edges)
+        horizontal += any(ps[i].y == ps[j].y for i, j in edges)
     for n in range(5, 40, 3):
         g = random_instance(n, seed=90_001 + n).graph
         tree = build_plane_tree(g).tree.tree_edges
         assert find_crossing_pair(g.ps, tree) is None
         assert all_pairs_crossing_pair(g.ps, tree) is None
         free += 1
-    assert crossing > 150 and free > 80 and vertical > 50
+    assert crossing > 150 and free > 80 and vertical > 50 and horizontal > 50
+
+
+def test_built_trees_lie_in_horizontal_strips_so_the_sweep_tests_few_pairs():
+    # The premise of sweeping by y: the split lines start horizontal and
+    # almost always win there, so the edges of a built tree rarely
+    # overlap in y.  Counted from the coordinates alone, on the budgeted
+    # random graphs at n = 48 and 64 (18 to 38 pairs against 47 or 63
+    # edges): a pair is tested when the later segment, by (low y, high
+    # y), starts below the earlier one's top.
+    for n in (48, 64):
+        for k in range(3):
+            g = random_instance(n, 1000 + 10 * n + k).graph
+            tree = build_plane_tree(g).tree.tree_edges
+            spans = sorted(
+                (min(g.ps[i].y, g.ps[j].y), max(g.ps[i].y, g.ps[j].y)) for i, j in tree
+            )
+            tested = sum(
+                low < top for s, (_, top) in enumerate(spans) for low, _ in spans[s + 1:]
+            )
+            assert tested < len(tree), (n, k, tested)
 
 
 def test_the_crossing_kernel_finds_the_pairs_of_the_all_pairs_scan():

@@ -178,6 +178,11 @@ def test_crossing_free_star_and_diagonals():
     assert find_crossing_pair(g.ps, star) is None
     assert find_crossing_pair(g.ps, {(0, 2), (1, 3)}) == ((0, 2), (1, 3))
     assert find_crossing_pair(g.ps, set()) is None
+    # A horizontal segment that a steep one properly crosses at (5, 5):
+    # the sweep takes the steep one first, by its lower y.
+    ps = PointSet.from_coords([(0, 5), (10, 5), (4, 0), (6, 10)])
+    for edges in ([(0, 1), (2, 3)], [(2, 3), (0, 1)]):
+        assert find_crossing_pair(ps, edges) == ((0, 1), (2, 3))
 
 
 def test_certify_star_of_complete_graph():

@@ -11,27 +11,26 @@ from planetree.rotation import full_rotation
 from planetree.triangles import disconnected_empty_triangles, enumerate_empty_triangles
 
 
-def _cross2(a, b, c):
-    return (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
-
-
 def brute_empty_triples(ps):
-    """Independent enumeration: strict interior via the absolute-area identity."""
-    n = len(ps)
+    """Independent enumeration: strict interior via the absolute-area
+    identity, |abp| + |bcp| + |cap| == |abc|, with each cross product
+    written out over plain coordinate lists."""
+    coords = [(p.x, p.y) for p in ps]
     out = []
-    for i, j, k in combinations(range(n), 3):
-        a, b, c = ps[i], ps[j], ps[k]
-        total = abs(_cross2(a, b, c))
-        empty = True
-        for t in range(n):
-            if t in (i, j, k):
+    for i, j, k in combinations(range(len(coords)), 3):
+        (ax, ay), (bx, by), (cx, cy) = coords[i], coords[j], coords[k]
+        total = abs((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))
+        for t, (px, py) in enumerate(coords):
+            if t == i or t == j or t == k:
                 continue
-            p = ps[t]
-            parts = abs(_cross2(a, b, p)) + abs(_cross2(b, c, p)) + abs(_cross2(c, a, p))
+            parts = (
+                abs((bx - ax) * (py - ay) - (by - ay) * (px - ax))
+                + abs((cx - bx) * (py - by) - (cy - by) * (px - bx))
+                + abs((ax - cx) * (py - cy) - (ay - cy) * (px - cx))
+            )
             if parts == total:
-                empty = False
                 break
-        if empty:
+        else:
             out.append((i, j, k))
     return out
 
