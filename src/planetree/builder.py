@@ -139,9 +139,7 @@ def find_valid_split(g: GeometricGraph, witnesses: tuple[Triple, ...]) -> SplitL
     for pivot, direction, partner, labels, left, right in _side_rooms(g, witnesses):
         if start is None:
             start = (left >= 0, right >= 0)
-            if start != (True, True):
-                continue
-        elif left < 0 or right < 0:
+        if left < 0 or right < 0:
             continue
         line = OrientedLine(pivot, direction, partner)
         if line_labels(line, g.ps) != labels:

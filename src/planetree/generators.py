@@ -3,8 +3,10 @@ pulled-in-vertex construction, and seeded random instances.
 
 Regular polygons are only approximated on the integer grid, so every
 advertised property (convex position, the exact disconnected-triangle
-count, interior placement) is re-verified on the generated coordinates
-and a failed certificate raises instead of shipping a broken instance.
+count, interior placement) is certified once on the generated
+coordinates, and a failed certificate raises instead of shipping a
+broken instance.  The certificates make the points and edges valid, so
+nothing is validated again, and no count fills the root-count cache.
 """
 
 from __future__ import annotations
@@ -25,12 +27,7 @@ from .geometry import (
     point_in_triangle,
 )
 from .graphs import GeometricGraph, complete_graph, find_crossing_pair
-from .triangles import (
-    _below_tables,
-    _empty_candidates,
-    _empty_walk,
-    disconnected_empty_triangles,
-)
+from .triangles import _below_tables, _empty_candidates, _empty_walk
 
 DEFAULT_SCALE = 10**6
 RANDOM_BOX = 10**6
@@ -49,9 +46,10 @@ def convex_position_points(n: int, scale: int = DEFAULT_SCALE) -> PointSet:
     """n integer points in convex position, indexed in hull order.
 
     Rounds the vertices of a regular polygon of the given radius and
-    verifies the result; on a rounding collision the radius is doubled
-    and the construction retried while it stays within COORD_LIMIT.  The
-    error names the last radius tried.
+    certifies the result by its hull order alone; on a rounding collision
+    the radius is doubled and the construction retried while it stays
+    within COORD_LIMIT.  The error names the last radius tried.  No
+    coordinate exceeds the radius, so none exceeds the bound.
     """
     if n < 3:
         raise ValueError("need at least 3 points")
@@ -66,16 +64,13 @@ def convex_position_points(n: int, scale: int = DEFAULT_SCALE) -> PointSet:
             )
             for i in range(n)
         )
-        try:
-            ps = PointSet(pts)
-        except ValueError:
-            pass
-        else:
-            # The hull runs counter-clockwise from its lowest point k: index
-            # order is hull order (so convex position too) iff it is k, k+1, ... mod n.
-            hull = hull_order(ps)
-            if hull == tuple((hull[0] + i) % n for i in range(n)):
-                return ps
+        # The hull runs counter-clockwise from its lowest point k and keeps only
+        # strict turns: listing all n points as k, k+1, ... mod n proves them
+        # distinct, with no collinear triple, in convex position and index order.
+        ps = PointSet._trusted(pts)
+        hull = hull_order(ps)
+        if hull == tuple((hull[0] + i) % n for i in range(n)):
+            return ps
         if abs(2 * radius) > COORD_LIMIT:
             raise GenerationError(f"no convex realization for n={n} up to radius {radius}")
         radius *= 2
@@ -93,7 +88,7 @@ def path_complement(n: int, scale: int = DEFAULT_SCALE) -> Instance:
     ps = convex_position_points(n, scale)
     path = {(i, i + 1) for i in range(n - 1)}
     g = GeometricGraph._trusted(ps, frozenset(combinations(range(n), 2)) - path)
-    got = disconnected_empty_triangles(g).count
+    got = len(_empty_candidates(_below_tables(ps), g.edges))
     if got != n - 2:
         raise GenerationError(
             f"path complement certificate failed: expected {n - 2}, got {got}"
@@ -132,7 +127,7 @@ def r_construction(n: int, scale: int = DEFAULT_SCALE) -> tuple[Instance, Instan
         if find_crossing_pair(ps, path_edges) is not None:
             continue
         complement = GeometricGraph._trusted(ps, complement_edges)
-        if disconnected_empty_triangles(complement).count != n - 3:
+        if len(_empty_candidates(_below_tables(ps), complement.edges)) != n - 3:
             continue
         return Instance(GeometricGraph._trusted(ps, path_edges)), Instance(complement)
     raise GenerationError(f"no certified pulled-vertex construction for n={n}")

@@ -178,8 +178,9 @@ class PointSet:
     by index), and general position in O(n^2) (`in_general_position`),
     where a GeneralPositionError names the offending points.  Points the
     package has already made valid (a subset of a validated set, a
-    sample admitted point by point) are never checked again: they enter
-    through `_trusted`.  All downstream predicates may then assume
+    sample admitted point by point, a rounded polygon whose strict hull
+    lists every point) are never checked again: they enter through
+    `_trusted`.  All downstream predicates may then assume
     exactness and non-degeneracy.
     """
 

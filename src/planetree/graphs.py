@@ -26,17 +26,18 @@ def canonical_edge(i: int, j: int) -> Edge:
 
 @dataclass(frozen=True)
 class GeometricGraph:
-    """Straight-line edges over a PointSet.  `edges` may be any iterable of
-    index pairs.  This is the one place outside edges are validated,
-    once: each entry must be a pair of distinct in-range ints (not
-    bools), and a ValueError names the first bad one; a string, a
-    mapping or anything that does not unpack into two values is no pair.
-    The edges are stored as a frozenset of canonical pairs.  Edges the
-    package derives or generates (an induced subgraph's, a generator's
-    pairs from `combinations`) are canonical and in range by
-    construction and are never checked again: they enter through
-    `_trusted`.  `n`, the number of points, is set by both constructors;
-    it takes no part in `==`, `hash` or `repr`."""
+    """Straight-line edges over a PointSet.  `ps` must be a PointSet, which
+    validated its points, and `edges` may be any iterable of index pairs.
+    This is the one place outside edges are validated, once: each entry
+    must be a pair of distinct in-range ints (not bools), and a
+    ValueError names the first bad one; a string, a mapping or anything
+    that does not unpack into two values is no pair.  The edges are
+    stored as a frozenset of canonical pairs.  Edges the package derives
+    or generates (an induced subgraph's, a generator's pairs from
+    `combinations`) are canonical and in range by construction and are
+    never checked again: they enter through `_trusted`.  `n`, the number
+    of points, is set by both constructors; it takes no part in `==`,
+    `hash` or `repr`."""
 
     ps: PointSet
     edges: frozenset[Edge]
@@ -45,6 +46,8 @@ class GeometricGraph:
     n: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.ps, PointSet):
+            raise ValueError(f"expected a PointSet, got {type(self.ps).__name__}")
         n = len(self.ps)
         canon = set()
         for entry in self.edges:

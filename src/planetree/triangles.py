@@ -22,14 +22,15 @@ strictly monotone because two distinct slopes of differences within
 `geometry.COORD_LIMIT`).  Each below count is a popcount over an int
 bitmask of the angular places already passed.  The disconnected
 count draws only the triples that induce at most one edge, tests each
-as it is drawn, and keeps and sorts only the empty ones.
-On a half-plane subset it can instead filter the parent's witnesses,
-which needs no emptiness test at all.  Each call builds the
-counts it reads and passes them down.  One result is memoised: the
-last graph's root count (`_empty_triples`), so a build repeated back
-to back is warm and no earlier graph is kept alive.  The tests keep
-the O(n^3) scan of every triple by the below counts and the O(n^4)
-scan of every triple against every point as independent references.
+as it is drawn, and keeps and sorts only the empty ones.  On a
+half-plane subset it can instead filter the parent's witnesses, which
+needs no emptiness test at all.  Each call builds the counts it reads
+and passes them down.  One result is memoised: the last graph's root
+count (`_empty_triples`), so a build repeated back to back is warm and
+no earlier graph is kept alive; the generators count without it, so a
+generated instance builds cold.  The tests keep the O(n^3) scan of
+every triple by the below counts and the O(n^4) scan of every triple
+against every point as independent references.
 """
 
 from __future__ import annotations
@@ -167,8 +168,8 @@ def _empty_triples(ps: PointSet, edges: frozenset[Edge]) -> tuple[Triple, ...]:
     """`_empty_candidates` of ps and edges, memoised for the last graph only.
 
     The one cache of the package: the builder's root count, so that
-    building the last graph again reads it instead of testing again, and
-    a dropped graph is freed once the next one is counted.  `perfbench`
+    building the last graph again reads it, and a dropped graph is freed
+    once the next one is counted.  No generator fills it.  `perfbench`
     clears it before every timed build.
     """
     return tuple(_empty_candidates(_below_tables(ps), edges))

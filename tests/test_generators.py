@@ -1,9 +1,11 @@
 import hashlib
+import math
 
 import pytest
 from _diagnostics import in_convex_position, reference_budgeted_edges
 
 from planetree import generators
+from planetree.builder import build_plane_tree
 from planetree.cli import main
 from planetree.generators import (
     DEFAULT_SCALE,
@@ -17,7 +19,9 @@ from planetree.generators import (
 from planetree.geometry import (
     COORD_LIMIT,
     INTERIOR,
+    Point,
     PointSet,
+    _degeneracy,
     hull_order,
     in_general_position,
     orient,
@@ -26,7 +30,7 @@ from planetree.geometry import (
 from planetree.graphs import GeometricGraph, find_crossing_pair
 from planetree.instance_io import dumps_instance
 from planetree.oracle import ABSENT, has_plane_spanning_tree
-from planetree.triangles import disconnected_empty_triangles
+from planetree.triangles import _empty_triples, disconnected_empty_triangles
 
 import random
 
@@ -69,11 +73,11 @@ def test_a_scale_at_the_coordinate_bound_is_realized():
 def test_the_radius_stops_doubling_at_the_coordinate_bound(monkeypatch):
     radii = []
 
-    def collides(pts):
-        radii.append(pts[0].x)  # the vertex at angle 0 lies at (radius, 0)
-        raise ValueError("rounding collision")
+    def collides(ps):
+        radii.append(ps[0].x)  # the vertex at angle 0 lies at (radius, 0)
+        return tuple(range(len(ps) - 1))  # a hull short of one point
 
-    monkeypatch.setattr(generators, "PointSet", collides)
+    monkeypatch.setattr(generators, "hull_order", collides)
     with pytest.raises(GenerationError, match=f"up to radius {COORD_LIMIT}$"):
         convex_position_points(5, COORD_LIMIT // 16)
     assert radii == [COORD_LIMIT >> k for k in (4, 3, 2, 1, 0)]
@@ -85,6 +89,51 @@ def test_the_radius_keeps_doubling_until_the_points_are_distinct():
     ps = convex_position_points(300, 1)
     assert len(ps) == 300
     assert in_convex_position(ps)
+
+
+def _rounded_polygon(n, radius):
+    return tuple(
+        Point(round(radius * math.cos(2 * math.pi * i / n)),
+              round(radius * math.sin(2 * math.pi * i / n)))
+        for i in range(n)
+    )
+
+
+def test_a_hull_listing_every_vertex_in_order_certifies_general_position():
+    # Small radii round vertices together and onto common lines; the strict
+    # hull that `convex_position_points` reads must then miss a vertex.
+    accepted = degenerate = 0
+    for n in range(3, 41):
+        for radius in (*range(1, 25), *range(-12, 0)):
+            pts = _rounded_polygon(n, radius)
+            hull = hull_order(PointSet._trusted(pts))
+            clash = _degeneracy(pts)
+            degenerate += clash is not None
+            if hull == tuple((hull[0] + i) % n for i in range(n)):
+                accepted += 1
+                assert clash is None, (n, radius)
+                assert convex_position_points(n, radius).points == pts
+    assert accepted > 300 and degenerate > 700
+
+
+GENERATORS = {
+    "path_complement": lambda: [path_complement(9)],
+    "r_construction": lambda: list(r_construction(9)),
+    "random_budgeted": lambda: [random_instance(9, 1)],
+    "random_complete": lambda: [random_instance(9, 1, "complete")],
+}
+
+
+@pytest.mark.parametrize("generate", GENERATORS.values(), ids=GENERATORS.keys())
+def test_generation_leaves_the_root_count_cold(generate):
+    _empty_triples.cache_clear()
+    graphs = [inst.graph for inst in generate()]
+    assert _empty_triples.cache_info().currsize == 0
+    for g in graphs:
+        before = _empty_triples.cache_info()
+        build_plane_tree(g)
+        after = _empty_triples.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses + 1)
 
 
 def test_path_complement_counts():

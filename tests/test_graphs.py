@@ -5,7 +5,7 @@ import pytest
 from _diagnostics import sorted_neighbour_dfs, triple_connected
 
 from planetree.generators import convex_position_points, random_point_set
-from planetree.geometry import PointSet, segments_properly_cross
+from planetree.geometry import Point, PointSet, segments_properly_cross
 from planetree.graphs import (
     GeometricGraph,
     PlaneTree,
@@ -42,6 +42,13 @@ def test_graph_rejects_a_non_integer_index(edge):
         assert str(err.value) == f"edge ({edge[0]!r}, {edge[1]!r}) has a non-integer index"
     else:
         assert str(err.value) == f"expected [i, j], got {edge!r}"
+
+
+def test_graph_refuses_points_that_are_not_a_point_set():
+    # A bare tuple would skip the PointSet's general-position check.
+    pts = (Point(0, 0), Point(0, 0), Point(5, 1), Point(2, 7))
+    with pytest.raises(ValueError, match="expected a PointSet, got tuple"):
+        GeometricGraph(pts, [(0, 1), (1, 2), (2, 3)])
 
 
 def test_self_loop_rejected():

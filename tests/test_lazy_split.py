@@ -243,10 +243,11 @@ def test_side_rooms_match_the_containment_count_at_every_state():
     for g in _room_graphs():
         witnesses = disconnected_empty_triangles(g).witnesses
         rooms = [(left, right) for *_, left, right in builder._side_rooms(g, witnesses)]
+        vertex_sets = [frozenset(t) for t in witnesses]
         expected, inside = [], []
         for _, part in full_rotation(g.ps).states():
             sides = (part.left, part.right)
-            inside.append(tuple(sum(set(t) <= side for t in witnesses) for side in sides))
+            inside.append(tuple(sum(t <= side for t in vertex_sets) for side in sides))
             expected.append(tuple(len(s) - 3 - k for s, k in zip(sides, inside[-1])))
             assert [r >= 0 for r in expected[-1]] == [_low(witnesses, s) for s in sides]
         assert rooms == expected

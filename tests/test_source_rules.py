@@ -1,5 +1,4 @@
 import ast
-import traceback
 from collections import Counter
 from pathlib import Path
 
@@ -418,6 +417,7 @@ def test_only_the_triangles_module_reads_the_emptiness_tables():
 
 TRUSTING = {
     "geometry.PointSet.subset",
+    "generators.convex_position_points",
     "graphs.induced_subgraph",
     "graphs.complete_graph",
     "generators.random_point_set",
@@ -447,18 +447,16 @@ def test_only_derived_and_generated_records_skip_validation():
     assert sorted(bypasses) == ["geometry.PointSet._trusted", "graphs.GeometricGraph._trusted"]
 
 
-def test_generation_validates_only_the_rounded_polygon(monkeypatch):
-    # During generation, general position is checked only where rounding
-    # may collide (`convex_position_points`, once per radius tried), and
-    # no edge set is validated at all.  A loaded instance is still checked
-    # in full, once.
+def test_generation_validates_nothing_and_loading_validates_once(monkeypatch):
+    # During generation nothing is validated: the rounded polygon is
+    # certified by its strict hull order alone, and no edge set is checked
+    # at all.  A loaded instance is still checked in full, once.
     degeneracy, post_init = [], []
     check_points = geometry._degeneracy
     check_edges = GeometricGraph.__post_init__
 
     def counted_degeneracy(pts):
-        frames = traceback.extract_stack()
-        degeneracy.append(any(f.name == "convex_position_points" for f in frames))
+        degeneracy.append(1)
         return check_points(pts)
 
     def counted_post_init(self):
@@ -473,9 +471,9 @@ def test_generation_validates_only_the_rounded_polygon(monkeypatch):
         path_complement(9).graph,
         *(inst.graph for inst in r_construction(9)),
     ]
-    assert (degeneracy, post_init) == ([True, True], [])  # one radius each
+    assert (degeneracy, post_init) == ([], [])
     for g in graphs:
-        degeneracy.clear()
         assert loads_instance(dumps_instance(g)) == g
-        assert (degeneracy, post_init) == ([False], [1])
+        assert (degeneracy, post_init) == ([1], [1])
+        degeneracy.clear()
         post_init.clear()
