@@ -29,15 +29,15 @@ class GeometricGraph:
     """Straight-line edges over a PointSet.  `ps` must be a PointSet, which
     validated its points, and `edges` may be any iterable of index pairs.
     This is the one place outside edges are validated, once: each entry
-    must be a pair of distinct in-range ints (not bools), and a
-    ValueError names the first bad one; a string, a mapping or anything
-    that does not unpack into two values is no pair.  The edges are
-    stored as a frozenset of canonical pairs.  Edges the package derives
-    or generates (an induced subgraph's, a generator's pairs from
-    `combinations`) are canonical and in range by construction and are
-    never checked again: they enter through `_trusted`.  `n`, the number
-    of points, is set by both constructors; it takes no part in `==`,
-    `hash` or `repr`."""
+    must be a tuple or list of two distinct in-range ints (not bools),
+    and a ValueError names the first bad one; a string, a mapping, a set
+    or a range is no pair, even when it unpacks into two values.  The
+    edges are stored as a frozenset of canonical pairs.  Edges the
+    package derives or generates (an induced subgraph's, a generator's
+    pairs from `combinations`) are canonical and in range by
+    construction and are never checked again: they enter through
+    `_trusted`.  `n`, the number of points, is set by both constructors;
+    it takes no part in `==`, `hash` or `repr`."""
 
     ps: PointSet
     edges: frozenset[Edge]
@@ -51,14 +51,17 @@ class GeometricGraph:
         n = len(self.ps)
         canon = set()
         for entry in self.edges:
+            # A string, a mapping, a set or a range unpacks too.  This runs
+            # for every edge of every graph, so exact types skip `isinstance`.
+            kind = type(entry)
+            if kind is not list and kind is not tuple and not isinstance(entry, (tuple, list)):
+                raise ValueError(f"expected [i, j], got {entry!r}")
             try:
                 i, j = entry
-            except (TypeError, ValueError):
+            except ValueError:
                 raise ValueError(f"expected [i, j], got {entry!r}") from None
-            # `is_integer`, inlined: this runs for every edge of every graph.
+            # `is_integer`, inlined.
             if type(i) is not int or type(j) is not int:
-                if not isinstance(entry, (tuple, list)):  # a string or a dict unpacks too
-                    raise ValueError(f"expected [i, j], got {entry!r}")
                 raise ValueError(f"edge ({i!r}, {j!r}) has a non-integer index")
             if i == j:
                 raise ValueError(f"edge ({i}, {j}) is a self-loop")
@@ -241,11 +244,19 @@ def certify_plane_spanning_tree(
 
     Four independent conditions, reported in this order: subgraph,
     edge count n-1, connectivity over all vertices, crossing-freedom
-    (with a witness pair on failure).  Returns a verdict, never raises:
-    a self-loop is kept as (i, i), which no graph has, so it fails as
-    not-subgraph.
+    (with a witness pair on failure).  Returns a verdict for any
+    iterable, never raises: an entry that is not a tuple or list of two
+    ints (bools and floats are not ints) fails as not-subgraph, and so
+    does a self-loop, which is kept as (i, i) and which no graph has.
     """
-    t = frozenset((i, j) if i < j else (j, i) for i, j in tree_edges)
+    t = set()
+    for entry in tree_edges:
+        if not isinstance(entry, (tuple, list)) or len(entry) != 2:
+            return Rejection("not-subgraph")
+        i, j = entry
+        if type(i) is not int or type(j) is not int:
+            return Rejection("not-subgraph")
+        t.add((i, j) if i < j else (j, i))
     if not t <= g.edges:
         return Rejection("not-subgraph")
     if len(t) != g.n - 1:
@@ -255,4 +266,4 @@ def certify_plane_spanning_tree(
     pair = find_crossing_pair(g.ps, t)
     if pair is not None:
         return Rejection("crossing", witness=pair)
-    return PlaneTree(t)
+    return PlaneTree(frozenset(t))

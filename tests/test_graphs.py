@@ -30,11 +30,16 @@ def test_edges_canonicalized():
 
 
 @pytest.mark.parametrize(
-    "edge", [(0.0, 1), (0, 1.0), (True, 2), (0, "1"), 5, (0, 1, 2), (0,), "01"]
+    "edge",
+    [
+        (0.0, 1), (0, 1.0), (True, 2), (0, "1"), 5, (0, 1, 2), (0,), "01",
+        {0: "a", 1: "b"}, {0, 2}, range(2),
+    ],
 )
 def test_graph_rejects_a_non_integer_index(edge):
-    # The last four are no pair at all, and the error names the entry; a
-    # string unpacks into two characters but is no pair either.
+    # From the fifth on they are no pair at all, and the error names the
+    # entry; a string, a mapping, a set or a range unpacks into two values
+    # but is no pair either.
     ps = convex_position_points(4)
     with pytest.raises(ValueError) as err:
         GeometricGraph(ps, [(2, 3), edge])
@@ -123,8 +128,8 @@ def test_induced_subgraph_equals_a_validated_graph():
 
 def test_the_point_count_stays_out_of_equality_hash_and_repr():
     # `n` is a field set by each constructor; like `parent`, it must not
-    # change what `==`, `hash` or `repr` see, so golden reprs and cache
-    # keys stay as they were.
+    # change what `==`, `hash` or `repr` see, so golden reprs and hashes
+    # stay as they were.
     ps = square_plus_center()
     g = GeometricGraph(ps, frozenset({(0, 1), (1, 4)}))
     assert g.n == 5
@@ -227,7 +232,18 @@ def test_a_rejection_prints_its_reason_and_witness():
 
 def test_certify_reports_a_self_loop_as_not_subgraph():
     g = complete_graph(convex_position_points(4))
-    for tree in ([(1, 1)], [(0, 1), (2, 2), (2, 3)]):
+    # So does any entry that is not a tuple or list of two ints, even in a
+    # plane path 0-1-2-3 with one index written 0.0 or True.
+    trees = (
+        [(1, 1)],
+        [(0, 1), (2, 2), (2, 3)],
+        [(0, 1, 2)],
+        [(None, 1)],
+        [0],
+        [(0.0, 1), (1, 2), (2, 3)],
+        [(0, True), (1, 2), (2, 3)],
+    )
+    for tree in trees:
         verdict = certify_plane_spanning_tree(g, tree)
         assert isinstance(verdict, Rejection) and verdict.reason == "not-subgraph"
 
