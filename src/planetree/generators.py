@@ -6,7 +6,7 @@ advertised property (convex position, the exact disconnected-triangle
 count, interior placement) is certified once on the generated
 coordinates, and a failed certificate raises instead of shipping a
 broken instance.  The certificates make the points and edges valid, so
-nothing is validated again.
+nothing is validated again, and no count fills the root-count cache.
 """
 
 from __future__ import annotations

@@ -106,9 +106,9 @@ def test_the_root_count_peak_memory_stays_near_its_result():
     assert peak < 3 * held
 
 
-def test_a_dropped_graph_is_freed():
-    # No process state keeps a built graph alive: once dropped, it is
-    # freed.
+def test_the_root_count_cache_keeps_only_the_last_graph():
+    # The cache holds one entry: a graph built and dropped is freed once
+    # the next graph is counted, and is not kept alive by its key.
     g = random_instance(20, seed=11).graph
     first = weakref.ref(g.ps)
     assert build_plane_tree(g).tree is not None

